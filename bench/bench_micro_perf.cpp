@@ -62,8 +62,9 @@ BENCHMARK(BM_TracenetSession);
 void BM_RoutingBfsColdCache(benchmark::State& state) {
   const auto& ref = internet2();
   for (auto _ : state) {
-    // Fresh table every iteration: measures one full BFS per subnet lookup.
-    sim::RoutingTable routes(ref.topo, /*cache_capacity=*/1);
+    // A fresh table every iteration keeps every query cold: the routing
+    // plane and the distance rows toward each subnet are built anew.
+    sim::RoutingTable routes(ref.topo);
     for (sim::SubnetId s = 0; s < std::min<std::size_t>(8, ref.topo.subnet_count()); ++s)
       benchmark::DoNotOptimize(routes.distance(ref.vantage, s));
   }

@@ -118,12 +118,16 @@ class SharedSubnetCache {
  public:
   void insert(const core::ObservedSubnet& subnet, std::size_t source_index) {
     if (subnet.prefix.length() >= 32) return;
+    {
+      Shard& shard = shard_for(subnet.prefix.network());
+      const std::lock_guard<std::mutex> lock(shard.mutex);
+      const auto [it, inserted] = shard.subnets.emplace(subnet.prefix, subnet);
+      if (!inserted && subnet.members.size() > it->second.members.size())
+        it->second = subnet;
+    }
+    // Cover the prefix only once the subnet is stored, so a reader that
+    // sees covers(addr) also finds the subnet with lookup(addr).
     stop_set_.insert(subnet.prefix, source_index);
-    Shard& shard = shard_for(subnet.prefix.network());
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto [it, inserted] = shard.subnets.emplace(subnet.prefix, subnet);
-    if (!inserted && subnet.members.size() > it->second.members.size())
-      it->second = subnet;
   }
 
   std::optional<core::ObservedSubnet> lookup(net::Ipv4Addr addr) const {

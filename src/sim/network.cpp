@@ -204,10 +204,12 @@ net::ProbeReply Network::arp_fail(NodeId node_id, const net::Probe& probe,
 }
 
 std::optional<RoutingTable::NextHop> Network::pick_next_hop(
-    NodeId node_id, const net::Probe& probe, SubnetId target_subnet) {
-  const auto hops = routing_.next_hops(node_id, target_subnet);
-  if (hops.empty()) return std::nullopt;
-  if (hops.size() == 1) return hops.front();
+    NodeId node_id, const net::Probe& probe, SubnetId target_subnet,
+    const RoutingTable::Routes& routes) {
+  RoutingTable::NextHop first;
+  const std::size_t count = routes.next_hop_count(node_id, first);
+  if (count == 0) return std::nullopt;
+  if (count == 1) return first;
 
   if (topology_.per_packet_load_balancing(node_id)) {
     std::uint32_t turn;
@@ -215,7 +217,7 @@ std::optional<RoutingTable::NextHop> Network::pick_next_hop(
       const std::lock_guard<std::mutex> lock(round_robin_mutex_);
       turn = round_robin_[node_id]++;
     }
-    return hops[turn % hops.size()];
+    return routes.next_hop(node_id, turn % count);
   }
   // Per-flow: a stable hash of (this router, flow selector, flow id,
   // protocol). With kPerDestSubnet the selector is the destination prefix, so
@@ -238,7 +240,7 @@ std::optional<RoutingTable::NextHop> Network::pick_next_hop(
             (static_cast<std::uint64_t>(probe.epoch) << 57));
     fault_churned_picks_.fetch_add(1, std::memory_order_relaxed);
   }
-  return hops[h % hops.size()];
+  return routes.next_hop(node_id, h % count);
 }
 
 std::uint64_t Network::probe_delay_us(const net::Probe& probe,
@@ -381,9 +383,15 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
   int router_depth = 0;
   NodeId current = origin;
   InterfaceId incoming = kInvalidId;
+  // The routes toward the target, resolved once the walk first needs them;
+  // only a step hook can change the topology mid-walk, so it re-resolves.
+  std::optional<RoutingTable::Routes> routes;
 
   for (int step = 0; step < config_.max_hops; ++step) {
-    if (step_hook_) step_hook_(current, probe);
+    if (step_hook_) {
+      step_hook_(current, probe);
+      routes.reset();
+    }
 
     // Node-override forward faults are charged where the packet actually
     // travels: entering an overridden node may black-hole or drop it.
@@ -430,7 +438,8 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
       }
     }
 
-    if (const auto local = topology_.interface_on(current, *target_subnet)) {
+    if (!routes) routes = routing_.routes_to(*target_subnet);
+    if (routes->distance(current) == 0) {
       // Final LAN: deliver to the owner across the subnet, or fail "ARP".
       const Subnet& lan = topology_.subnet(*target_subnet);
       if (lan.firewalled) return count(net::ProbeReply::none());
@@ -442,7 +451,7 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
       continue;
     }
 
-    const auto hop = pick_next_hop(current, probe, *target_subnet);
+    const auto hop = pick_next_hop(current, probe, *target_subnet, *routes);
     if (!hop) return count(net::ProbeReply::none());  // unreachable
     current = hop->node;
     incoming = hop->ingress;

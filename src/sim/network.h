@@ -108,14 +108,10 @@ struct NetworkStats {
 
 class Network {
  public:
-  // The routing cache is sized to the whole topology so concurrent walks
-  // can hold references to distance vectors without eviction races (see
-  // RoutingTable::distances_for).
+  // Routing state is built on the first probe, not here (sim/routing.h):
+  // a Network costs nothing per subnet until it forwards.
   explicit Network(const Topology& topology, NetworkConfig config = {})
-      : topology_(topology),
-        routing_(topology,
-                 std::max<std::size_t>(128, topology.subnet_count())),
-        config_(config) {}
+      : topology_(topology), routing_(topology), config_(config) {}
 
   // Injects `probe` from `origin` (a host or router in the topology) and
   // returns the reply the origin would eventually observe (kNone = silence).
@@ -262,9 +258,9 @@ class Network {
   net::ProbeReply finish_reply(NodeId node, net::ProbeReply reply,
                                const ProbeSlot& slot);
 
-  std::optional<RoutingTable::NextHop> pick_next_hop(NodeId node,
-                                                     const net::Probe& probe,
-                                                     SubnetId target_subnet);
+  std::optional<RoutingTable::NextHop> pick_next_hop(
+      NodeId node, const net::Probe& probe, SubnetId target_subnet,
+      const RoutingTable::Routes& routes);
 
   net::ProbeReply count(net::ProbeReply reply);
 

@@ -1,61 +1,323 @@
 #include "sim/routing.h"
 
-#include <deque>
+#include <algorithm>
+#include <span>
+#include <stdexcept>
 
 namespace tn::sim {
 
-int RoutingTable::distance(NodeId from, SubnetId target) const {
-  return resolved_distance(from, routes_for(target));
+namespace {
+
+// Row entry of a router no seed reaches.
+constexpr std::uint16_t kFar = 0xFFFF;
+
+// single_seed value of a subnet that needs a row of its own.
+constexpr std::uint32_t kOwnRow = kInvalidId;
+
+// Publishes `fresh` into an empty slot unless a racing thread got there
+// first; either way returns the row now in the slot. Racing copies agree,
+// BFS being a pure function of the topology.
+const std::uint16_t* publish(std::atomic<std::uint16_t*>& slot,
+                             std::unique_ptr<std::uint16_t[]> fresh) {
+  std::uint16_t* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire))
+    return fresh.release();
+  return expected;
 }
 
-int RoutingTable::resolved_distance(NodeId from, const Routes& routes) const {
-  const int d = routes.dist.at(from);
-  if (d != kUnreachable || !topology_.node(from).is_host) return d;
-  // Off-target host: its distance is what the BFS would have assigned when
-  // one of its LANs was first relaxed. LAN relaxations happen in
-  // nondecreasing distance order, so the minimum over its LANs is exactly
-  // the first-touch value of the full-graph BFS.
+}  // namespace
+
+class RoutingTable::Plane {
+ public:
+  explicit Plane(const Topology& topology);
+  ~Plane();
+
+  Plane(const Plane&) = delete;
+  Plane& operator=(const Plane&) = delete;
+
+  // One interface through which a path may enter or leave a LAN.
+  struct Relay {
+    InterfaceId iface;
+    NodeId node;
+    std::uint32_t router;  // dense index; kInvalidId for a multi-homed host
+  };
+
+  std::span<const Relay> relays(SubnetId lan) const {
+    return {relays_.data() + relay_begin_[lan],
+            relays_.data() + relay_begin_[lan + 1]};
+  }
+
+  // The distance row of `target` by dense router index (kFar: unreachable).
+  const std::uint16_t* subnet_row(SubnetId target) const;
+
+  const Topology& topology;
+  std::vector<std::uint32_t> router_index;  // by NodeId; kInvalidId: host
+
+ private:
+  const std::uint16_t* router_row(std::uint32_t router) const;
+  std::unique_ptr<std::uint16_t[]> bfs(std::uint32_t source) const;
+
+  std::uint32_t routers_ = 0;
+
+  // Relays of every LAN, in the LAN's interface-insertion order.
+  std::vector<std::uint32_t> relay_begin_;  // by SubnetId, plus an end mark
+  std::vector<Relay> relays_;
+
+  // The router <-> LAN graph in CSR form, over the LANs that link two or
+  // more routers, numbered densely: per router, its LANs; per LAN, its
+  // routers. A BFS scans each LAN's routers once, so its cost stays linear
+  // in LAN size.
+  std::vector<std::uint32_t> router_lan_begin_;  // by router, plus an end mark
+  std::vector<std::uint32_t> router_lans_;
+  std::vector<std::uint32_t> lan_router_begin_;  // by LAN, plus an end mark
+  std::vector<std::uint32_t> lan_routers_;
+
+  // Per subnet: the dense index of its only seed when that seed is a single
+  // router (the subnet reads the router's row), else kOwnRow.
+  std::vector<std::uint32_t> single_seed_;
+
+  // Lazily filled, owned rows: per router, and per kOwnRow subnet.
+  std::unique_ptr<std::atomic<std::uint16_t*>[]> router_rows_;
+  std::unique_ptr<std::atomic<std::uint16_t*>[]> subnet_rows_;
+};
+
+RoutingTable::Plane::Plane(const Topology& topo) : topology(topo) {
+  const std::size_t node_count = topo.node_count();
+  const std::size_t subnet_count = topo.subnet_count();
+
+  router_index.assign(node_count, kInvalidId);
+  for (NodeId n = 0; n < node_count; ++n)
+    if (!topo.node(n).is_host) router_index[n] = routers_++;
+  // Host seeds add one hop to a router distance of at most routers_ - 1.
+  if (routers_ >= kFar)
+    throw std::length_error("routing plane: more than 65534 routers");
+
+  std::vector<std::uint32_t> linking_lan(subnet_count, kInvalidId);
+  single_seed_.assign(subnet_count, kOwnRow);
+  relay_begin_.reserve(subnet_count + 1);
+  for (SubnetId lan = 0; lan < subnet_count; ++lan) {
+    relay_begin_.push_back(static_cast<std::uint32_t>(relays_.size()));
+    std::size_t lan_routers = 0;
+    std::size_t lan_hosts = 0;
+    for (const InterfaceId iface : topo.subnet(lan).interfaces) {
+      const NodeId node = topo.interface(iface).node;
+      const std::uint32_t router = router_index[node];
+      if (router != kInvalidId)
+        ++lan_routers;
+      else if (topo.node(node).interfaces.size() > 1)
+        ++lan_hosts;
+      else
+        continue;
+      relays_.push_back(Relay{iface, node, router});
+    }
+    if (lan_routers == 1 && lan_hosts == 0)
+      single_seed_[lan] = relays_.back().router;
+    if (lan_routers > 1) {
+      linking_lan[lan] = static_cast<std::uint32_t>(lan_router_begin_.size());
+      lan_router_begin_.push_back(static_cast<std::uint32_t>(lan_routers_.size()));
+      for (std::size_t i = relay_begin_[lan]; i < relays_.size(); ++i)
+        if (relays_[i].router != kInvalidId)
+          lan_routers_.push_back(relays_[i].router);
+    }
+  }
+  relay_begin_.push_back(static_cast<std::uint32_t>(relays_.size()));
+  lan_router_begin_.push_back(static_cast<std::uint32_t>(lan_routers_.size()));
+
+  router_lan_begin_.reserve(routers_ + 1);
+  for (NodeId n = 0; n < node_count; ++n) {
+    if (router_index[n] == kInvalidId) continue;
+    router_lan_begin_.push_back(static_cast<std::uint32_t>(router_lans_.size()));
+    for (const InterfaceId iface : topo.node(n).interfaces) {
+      const std::uint32_t lan = linking_lan[topo.interface(iface).subnet];
+      if (lan != kInvalidId) router_lans_.push_back(lan);
+    }
+  }
+  router_lan_begin_.push_back(static_cast<std::uint32_t>(router_lans_.size()));
+
+  router_rows_ = std::make_unique<std::atomic<std::uint16_t*>[]>(routers_);
+  subnet_rows_ = std::make_unique<std::atomic<std::uint16_t*>[]>(subnet_count);
+}
+
+RoutingTable::Plane::~Plane() {
+  for (std::uint32_t r = 0; r < routers_; ++r) delete[] router_rows_[r].load();
+  for (SubnetId s = 0; s < single_seed_.size(); ++s)
+    delete[] subnet_rows_[s].load();
+}
+
+std::unique_ptr<std::uint16_t[]> RoutingTable::Plane::bfs(
+    std::uint32_t source) const {
+  auto dist = std::make_unique_for_overwrite<std::uint16_t[]>(routers_);
+  std::fill_n(dist.get(), routers_, kFar);
+  std::vector<std::uint32_t> queue(routers_);  // every router enters once
+  // A LAN's routers are all one hop past the first of them the BFS pops.
+  std::vector<std::uint8_t> lan_done(lan_router_begin_.size() - 1, 0);
+  dist[source] = 0;
+  queue[0] = source;
+  std::size_t tail = 1;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const std::uint32_t u = queue[head];
+    const std::uint16_t next = static_cast<std::uint16_t>(dist[u] + 1);
+    for (std::uint32_t i = router_lan_begin_[u]; i < router_lan_begin_[u + 1];
+         ++i) {
+      const std::uint32_t lan = router_lans_[i];
+      if (lan_done[lan]) continue;
+      lan_done[lan] = 1;
+      for (std::uint32_t j = lan_router_begin_[lan];
+           j < lan_router_begin_[lan + 1]; ++j) {
+        const std::uint32_t v = lan_routers_[j];
+        if (dist[v] != kFar) continue;
+        dist[v] = next;
+        queue[tail++] = v;
+      }
+    }
+  }
+  return dist;
+}
+
+const std::uint16_t* RoutingTable::Plane::router_row(
+    std::uint32_t router) const {
+  if (const std::uint16_t* ready =
+          router_rows_[router].load(std::memory_order_acquire))
+    return ready;
+  return publish(router_rows_[router], bfs(router));
+}
+
+const std::uint16_t* RoutingTable::Plane::subnet_row(SubnetId target) const {
+  const std::uint32_t seed = single_seed_.at(target);
+  if (seed != kOwnRow) return router_row(seed);
+  if (const std::uint16_t* ready =
+          subnet_rows_[target].load(std::memory_order_acquire))
+    return ready;
+
+  // The BFS from every node attached to `target` at once: attached routers
+  // seed at 0; an attached multi-homed host seeds the routers on its other
+  // LANs at 1. The distance from a seed set is the minimum over its seeds.
+  auto dist = std::make_unique_for_overwrite<std::uint16_t[]>(routers_);
+  std::fill_n(dist.get(), routers_, kFar);
+  const auto merge = [&](std::uint32_t router, std::uint16_t offset) {
+    const std::uint16_t* row = router_row(router);
+    for (std::uint32_t r = 0; r < routers_; ++r)
+      if (row[r] != kFar)
+        dist[r] = std::min(dist[r], static_cast<std::uint16_t>(row[r] + offset));
+  };
+  for (const Relay& seed_relay : relays(target)) {
+    if (seed_relay.router != kInvalidId) {
+      merge(seed_relay.router, 0);
+      continue;
+    }
+    for (const InterfaceId iface : topology.node(seed_relay.node).interfaces) {
+      const SubnetId lan = topology.interface(iface).subnet;
+      if (lan == target) continue;
+      for (const Relay& relay : relays(lan))
+        if (relay.router != kInvalidId) merge(relay.router, 1);
+    }
+  }
+  return publish(subnet_rows_[target], std::move(dist));
+}
+
+RoutingTable::RoutingTable(const Topology& topology,
+                           std::size_t /*cache_capacity*/)
+    : topology_(topology) {}
+
+RoutingTable::~RoutingTable() = default;
+
+const RoutingTable::Plane& RoutingTable::plane() const {
+  const std::uint64_t version = topology_.version();
+  if (plane_version_.load(std::memory_order_acquire) != version) {
+    const std::lock_guard<std::mutex> lock(rebuild_mutex_);
+    if (plane_version_.load(std::memory_order_relaxed) != version) {
+      plane_ = std::make_unique<Plane>(topology_);
+      plane_version_.store(version, std::memory_order_release);
+    }
+  }
+  return *plane_;
+}
+
+RoutingTable::Routes RoutingTable::routes_to(SubnetId target) const {
+  const Plane& p = plane();
+  return Routes(p, p.subnet_row(target), target);
+}
+
+int RoutingTable::Routes::distance(NodeId from) const {
+  const Plane& plane = *plane_;
+  const std::uint32_t router = plane.router_index.at(from);
+  if (router != kInvalidId)
+    return dist_[router] == kFar ? kUnreachable : dist_[router];
+  // A host: 0 when attached; else one hop past the nearest relay on any of
+  // its LANs — the LAN's first relaxation in a full-graph BFS, which only
+  // routers and attached (distance-0) hosts relay.
   int best = kUnreachable;
-  for (const InterfaceId iface : topology_.node(from).interfaces) {
-    const int via = routes.lan_dist[topology_.interface(iface).subnet];
-    if (via != kUnreachable && (best == kUnreachable || via < best))
-      best = via;
+  for (const InterfaceId iface : plane.topology.node(from).interfaces) {
+    const SubnetId lan = plane.topology.interface(iface).subnet;
+    if (lan == target_) return 0;
+    for (const Plane::Relay& relay : plane.relays(lan)) {
+      int via;
+      if (relay.router != kInvalidId) {
+        if (dist_[relay.router] == kFar) continue;
+        via = dist_[relay.router] + 1;
+      } else if (plane.topology.interface_on(relay.node, target_)) {
+        via = 1;
+      } else {
+        continue;
+      }
+      if (best == kUnreachable || via < best) best = via;
+    }
   }
   return best;
 }
 
-std::vector<RoutingTable::NextHop> RoutingTable::next_hops(
-    NodeId from, SubnetId target) const {
-  const Routes& routes = routes_for(target);
-  std::vector<NextHop> out;
-  const int d = resolved_distance(from, routes);
-  if (d <= 0) return out;  // attached (local delivery) or unreachable
-
-  for (const InterfaceId egress : topology_.node(from).interfaces) {
-    const SubnetId lan_id = topology_.interface(egress).subnet;
-    if (d == 1) {
-      // Delivery hop: peers at distance 0 qualify, and those include hosts
-      // attached to the target (a multi-homed host may only terminate a
-      // path by delivering onto the target LAN itself), so scan the whole
-      // LAN in insertion order exactly like the full-graph BFS would.
-      for (const InterfaceId peer : topology_.subnet(lan_id).interfaces) {
-        if (peer == egress) continue;
-        const NodeId v = topology_.interface(peer).node;
-        if (routes.dist[v] != 0) continue;
-        out.push_back(NextHop{v, egress, peer});
+template <typename Visit>
+void RoutingTable::Routes::for_each_next_hop(NodeId from, Visit visit) const {
+  const int d = distance(from);
+  if (d <= 0) return;  // attached (local delivery) or unreachable
+  const Plane& plane = *plane_;
+  for (const InterfaceId egress : plane.topology.node(from).interfaces) {
+    for (const Plane::Relay& peer :
+         plane.relays(plane.topology.interface(egress).subnet)) {
+      if (peer.iface == egress) continue;
+      bool closer;
+      if (peer.router != kInvalidId) {
+        closer = dist_[peer.router] == d - 1;
+      } else {
+        // A host relays only by delivering onto the target itself, which
+        // makes it a next hop of the delivery step alone.
+        closer = d == 1 && plane.topology.interface_on(peer.node, target_);
       }
-    } else {
-      // Transit hop: hosts never forward, so only router peers at d-1 can
-      // carry the path — the per-LAN router slice preserves the LAN's
-      // interface-insertion order, keeping ECMP fan-out order identical.
-      for (const InterfaceId peer : router_interfaces(lan_id)) {
-        if (peer == egress) continue;
-        const NodeId v = topology_.interface(peer).node;
-        if (routes.dist[v] != d - 1) continue;
-        out.push_back(NextHop{v, egress, peer});
-      }
+      if (closer && !visit(NextHop{peer.node, egress, peer.iface})) return;
     }
   }
+}
+
+std::size_t RoutingTable::Routes::next_hop_count(NodeId from,
+                                                 NextHop& first) const {
+  std::size_t count = 0;
+  for_each_next_hop(from, [&](const NextHop& hop) {
+    if (count++ == 0) first = hop;
+    return true;
+  });
+  return count;
+}
+
+RoutingTable::NextHop RoutingTable::Routes::next_hop(NodeId from,
+                                                     std::size_t index) const {
+  NextHop chosen;
+  for_each_next_hop(from, [&](const NextHop& hop) {
+    if (index-- > 0) return true;
+    chosen = hop;
+    return false;
+  });
+  return chosen;
+}
+
+std::vector<RoutingTable::NextHop> RoutingTable::next_hops(
+    NodeId from, SubnetId target) const {
+  std::vector<NextHop> out;
+  routes_to(target).for_each_next_hop(from, [&](const NextHop& hop) {
+    out.push_back(hop);
+    return true;
+  });
   return out;
 }
 
@@ -65,98 +327,13 @@ InterfaceId RoutingTable::shortest_path_egress(NodeId from,
   if (const auto local = topology_.interface_on(from, toward_subnet))
     return *local;
   InterfaceId best = kInvalidId;
-  for (const NextHop& hop : next_hops(from, toward_subnet)) {
+  routes_to(toward_subnet).for_each_next_hop(from, [&](const NextHop& hop) {
     if (best == kInvalidId ||
         topology_.interface(hop.egress).addr < topology_.interface(best).addr)
       best = hop.egress;
-  }
+    return true;
+  });
   return best;
-}
-
-const std::vector<InterfaceId>& RoutingTable::router_interfaces(
-    SubnetId lan) const {
-  // The slice table is rebuilt under the cache lock whenever the topology
-  // version moves (see routes_for); between rebuilds it is read-only, so
-  // this lock-free read is safe under the same no-concurrent-mutation
-  // contract the distance cache already imposes.
-  return router_ifaces_[lan];
-}
-
-void RoutingTable::rebuild_router_interfaces_locked() const {
-  router_ifaces_.assign(topology_.subnet_count(), {});
-  for (SubnetId lan = 0; lan < topology_.subnet_count(); ++lan)
-    for (const InterfaceId iface : topology_.subnet(lan).interfaces)
-      if (!topology_.node(topology_.interface(iface).node).is_host)
-        router_ifaces_[lan].push_back(iface);
-}
-
-const RoutingTable::Routes& RoutingTable::routes_for(SubnetId target) const {
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (cached_version_ != topology_.version()) {
-      lru_.clear();
-      index_.clear();
-      rebuild_router_interfaces_locked();
-      cached_version_ = topology_.version();
-    } else if (const auto hit = index_.find(target); hit != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, hit->second);  // refresh recency
-      return hit->second->second;
-    }
-  }
-
-  // Miss: compute outside the lock (racing threads may duplicate the work;
-  // the first insert wins and the copies agree, BFS being pure).
-  Routes routes = compute_routes(target);
-
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (const auto hit = index_.find(target); hit != index_.end())
-    return hit->second->second;
-  lru_.emplace_front(target, std::move(routes));
-  index_[target] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-  return lru_.front().second;
-}
-
-RoutingTable::Routes RoutingTable::compute_routes(SubnetId target) const {
-  // Reverse BFS from the target subnet over the bipartite node <-> LAN
-  // structure, restricted to nodes that can make forward progress: routers,
-  // plus attached hosts (distance 0, which may deliver onto the target LAN
-  // from their other interfaces). Hosts beyond the target never forward —
-  // the full-graph BFS assigned them first-touch distances only for
-  // queries, and lan_dist reproduces those lazily (resolved_distance).
-  Routes routes;
-  routes.dist.assign(topology_.node_count(), kUnreachable);
-  routes.lan_dist.assign(topology_.subnet_count(), kUnreachable);
-  std::deque<NodeId> queue;
-  for (const InterfaceId iface : topology_.subnet(target).interfaces) {
-    const NodeId node = topology_.interface(iface).node;
-    if (routes.dist[node] != 0) {
-      routes.dist[node] = 0;
-      queue.push_back(node);
-    }
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    // Only dist-0 hosts ever enter the queue, so the "hosts do not relay
-    // transit traffic" guard of the full-graph BFS is implicit here.
-    for (const InterfaceId egress : topology_.node(u).interfaces) {
-      const SubnetId lan_id = topology_.interface(egress).subnet;
-      if (routes.lan_dist[lan_id] != kUnreachable) continue;
-      routes.lan_dist[lan_id] = routes.dist[u] + 1;
-      for (const InterfaceId peer : router_interfaces(lan_id)) {
-        const NodeId v = topology_.interface(peer).node;
-        if (routes.dist[v] == kUnreachable) {
-          routes.dist[v] = routes.dist[u] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  return routes;
 }
 
 }  // namespace tn::sim

@@ -1,27 +1,38 @@
 // Hop-count shortest-path routing over the router graph.
 //
-// Destinations resolve to subnets; a per-target-subnet reverse BFS yields
-// every node's distance to the subnet. The BFS runs on the *router* slice of
-// the bipartite node <-> LAN structure: hosts never forward transit traffic,
-// so a host's distance is fully determined by the LANs it sits on — the BFS
-// records one first-relaxation distance per LAN (`lan_dist`) and host
-// distances resolve lazily from that, instead of walking every member of
-// every /20-scale multi-access LAN per BFS (which used to dominate campaign
-// CPU on ISP-scale topologies). Router distances, host distances and
-// next-hop sets are bit-identical to the full-graph BFS; see the
-// Routing.RoutesMatchFullGraphBfs* tests. Distance tables are memoized with an LRU —
-// campaigns exhibit strong target-subnet locality — and are invalidated when
-// the topology version changes, so tests can fail links mid-experiment and
-// observe re-converged routes (§3.7 routing updates).
+// Destinations resolve to subnets. All queries read one flat routing plane,
+// built on the first query of each topology version:
 //
-// Next-hop sets are computed on demand per (node, target) query in
-// deterministic interface-insertion order, which per-flow ECMP hashing and
-// per-packet round-robin index into.
+//   * dense indices for the routers (hosts never forward transit traffic);
+//   * the router <-> LAN graph in CSR form: per router, the LANs it shares
+//     with other routers, and per such LAN, its routers;
+//   * per LAN, its relay interfaces in insertion order: the routers' and
+//     those of multi-homed hosts (the only hosts that can carry a path onto
+//     another LAN — by delivering onto the target from their own);
+//   * one 16-bit hop-distance row per router, filled by a BFS over routers
+//     only the first time a target needs it and published lock-free;
+//   * per target subnet, the element-wise minimum of the rows of its
+//     attached routers and, one hop further, of the routers next to its
+//     attached multi-homed hosts. That is exact because BFS distance from a
+//     set of seeds is the minimum over the seeds. A subnet whose only seed
+//     is one router reads that router's row.
+//
+// Host distances resolve from the relay interfaces of the host's LANs.
+// Router distances, host distances and next-hop sets are bit-identical to a
+// full-graph BFS from the target subnet; see the Routing.RoutesMatchFullGraphBfs*
+// tests. Every structural mutation bumps the topology version, which drops
+// the plane, so tests can fail links mid-experiment and observe re-converged
+// routes (§3.7 routing updates).
+//
+// Next-hop sets are enumerated per (node, target) query in deterministic
+// interface-insertion order, which per-flow ECMP hashing and per-packet
+// round-robin index into.
 #pragma once
 
-#include <list>
+#include <atomic>
+#include <cstdint>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/topology.h"
@@ -29,9 +40,18 @@
 namespace tn::sim {
 
 class RoutingTable {
+  class Plane;  // defined in routing.cpp
+
  public:
-  explicit RoutingTable(const Topology& topology, std::size_t cache_capacity = 128)
-      : topology_(topology), capacity_(cache_capacity) {}
+  // The second argument, once the capacity of a per-subnet LRU, is unused:
+  // every distance row the plane computes stays until the topology version
+  // changes. It remains so that callers passing a capacity still build.
+  explicit RoutingTable(const Topology& topology,
+                        std::size_t cache_capacity = 128);
+  ~RoutingTable();
+
+  RoutingTable(const RoutingTable&) = delete;
+  RoutingTable& operator=(const RoutingTable&) = delete;
 
   struct NextHop {
     NodeId node = kInvalidId;
@@ -41,8 +61,44 @@ class RoutingTable {
 
   static constexpr int kUnreachable = -1;
 
+  // The routes toward one target subnet: a view into the plane, valid until
+  // the topology changes. Reads are lock-free and allocate nothing.
+  class Routes {
+   public:
+    // Router-hop distance from `from`; 0 when attached.
+    int distance(NodeId from) const;
+
+    // How many equal-cost next hops `from` has; when there are any, the
+    // first of them is stored in `first`. None when `from` is attached to
+    // the target (local delivery) or the target is unreachable.
+    std::size_t next_hop_count(NodeId from, NextHop& first) const;
+
+    // The next hop numbered `index` (less than the count above) in
+    // deterministic order.
+    NextHop next_hop(NodeId from, std::size_t index) const;
+
+   private:
+    friend class RoutingTable;
+    Routes(const Plane& plane, const std::uint16_t* dist, SubnetId target)
+        : plane_(&plane), dist_(dist), target_(target) {}
+
+    // Calls visit(hop) for each next hop in order until it returns false.
+    template <typename Visit>
+    void for_each_next_hop(NodeId from, Visit visit) const;
+
+    const Plane* plane_;
+    const std::uint16_t* dist_;  // by dense router index
+    SubnetId target_;
+  };
+
+  // The routes toward `target`, computing its distance row on first use.
+  // Thread-safe as long as the topology is not mutated concurrently.
+  Routes routes_to(SubnetId target) const;
+
   // Router-hop distance from `from` to `target` subnet; 0 when attached.
-  int distance(NodeId from, SubnetId target) const;
+  int distance(NodeId from, SubnetId target) const {
+    return routes_to(target).distance(from);
+  }
 
   // Equal-cost next hops of `from` toward `target`, in deterministic order.
   // Empty when `from` is attached to the target (local delivery) or the
@@ -57,46 +113,15 @@ class RoutingTable {
   InterfaceId shortest_path_egress(NodeId from, SubnetId toward_subnet) const;
 
  private:
-  // Distances to one target subnet. `dist` is materialized for routers and
-  // for nodes attached to the target (distance 0); every other host stays
-  // kUnreachable there and resolves through `lan_dist`: the distance a node
-  // on that LAN would be assigned when the LAN was first relaxed
-  // (kUnreachable when the BFS never reached it).
-  struct Routes {
-    std::vector<int> dist;      // by NodeId
-    std::vector<int> lan_dist;  // by SubnetId
-  };
-
-  // Thread-safe: the cache is guarded by an internal mutex and the BFS runs
-  // outside it (pure topology read). Returned references point into list
-  // nodes, which stay stable across inserts and recency splices — they are
-  // invalidated only by eviction or a topology-version flush. Concurrent
-  // callers must therefore size `cache_capacity` to cover every subnet they
-  // will query (Network does) and must not mutate the topology while
-  // queries are in flight; smaller capacities remain fine serially.
-  const Routes& routes_for(SubnetId target) const;
-
-  Routes compute_routes(SubnetId target) const;
-
-  // `from`'s distance under `routes`: materialized when present, else (for
-  // an off-target host) the best LAN-relaxation distance it sits on.
-  int resolved_distance(NodeId from, const Routes& routes) const;
-
-  // Interfaces of forwarding (non-host) nodes on `lan`, in the LAN's
-  // interface-insertion order. Built once per topology version; the returned
-  // reference is stable until the version changes.
-  const std::vector<InterfaceId>& router_interfaces(SubnetId lan) const;
-  void rebuild_router_interfaces_locked() const;
+  // The plane of the current topology version, built on first use. Readers
+  // that find it current take no lock; a version change rebuilds it under
+  // `rebuild_mutex_`, which the no-concurrent-mutation contract makes safe.
+  const Plane& plane() const;
 
   const Topology& topology_;
-  std::size_t capacity_;
-
-  // LRU cache: list holds (subnet, routes) in recency order.
-  mutable std::mutex cache_mutex_;
-  mutable std::list<std::pair<SubnetId, Routes>> lru_;
-  mutable std::unordered_map<SubnetId, decltype(lru_)::iterator> index_;
-  mutable std::vector<std::vector<InterfaceId>> router_ifaces_;
-  mutable std::uint64_t cached_version_ = ~0ULL;
+  mutable std::mutex rebuild_mutex_;
+  mutable std::unique_ptr<Plane> plane_;
+  mutable std::atomic<std::uint64_t> plane_version_{~0ULL};
 };
 
 }  // namespace tn::sim

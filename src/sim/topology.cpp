@@ -34,18 +34,15 @@ NodeId Topology::add_host(std::string name) {
 
 SubnetId Topology::add_subnet(net::Prefix prefix) {
   // Reject overlap with any existing subnet: either could contain the other.
-  for (const Subnet& existing : subnets_) {
-    if (existing.prefix.contains(prefix) || prefix.contains(existing.prefix))
-      throw std::invalid_argument("subnet " + prefix.to_string() +
-                                  " overlaps existing " +
-                                  existing.prefix.to_string());
-  }
   const SubnetId id = static_cast<SubnetId>(subnets_.size());
+  if (const auto existing = subnet_index_.insert(prefix, id))
+    throw std::invalid_argument("subnet " + prefix.to_string() +
+                                " overlaps existing " +
+                                subnets_[*existing].prefix.to_string());
   Subnet subnet;
   subnet.id = id;
   subnet.prefix = prefix;
   subnets_.push_back(std::move(subnet));
-  prefix_to_subnet_.emplace(prefix, id);
   ++version_;
   return id;
 }
@@ -111,24 +108,6 @@ std::optional<InterfaceId> Topology::find_interface(
     net::Ipv4Addr addr) const noexcept {
   const auto it = addr_to_interface_.find(addr);
   if (it == addr_to_interface_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<SubnetId> Topology::find_subnet_containing(
-    net::Ipv4Addr addr) const noexcept {
-  // Subnets are disjoint, so at most one match exists; scan mask lengths from
-  // most to least specific (33 hash probes worst case).
-  for (int length = 32; length >= 0; --length) {
-    const auto it = prefix_to_subnet_.find(net::Prefix::covering(addr, length));
-    if (it != prefix_to_subnet_.end()) return it->second;
-  }
-  return std::nullopt;
-}
-
-std::optional<SubnetId> Topology::find_subnet_exact(
-    const net::Prefix& prefix) const noexcept {
-  const auto it = prefix_to_subnet_.find(prefix);
-  if (it == prefix_to_subnet_.end()) return std::nullopt;
   return it->second;
 }
 

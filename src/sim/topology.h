@@ -17,6 +17,7 @@
 
 #include "net/ipv4.h"
 #include "net/prefix.h"
+#include "net/prefix_index.h"
 #include "sim/router.h"
 #include "sim/subnet.h"
 #include "sim/types.h"
@@ -70,10 +71,15 @@ class Topology {
   // Exact address lookup.
   std::optional<InterfaceId> find_interface(net::Ipv4Addr addr) const noexcept;
 
-  // Longest-prefix-match over subnet prefixes.
-  std::optional<SubnetId> find_subnet_containing(net::Ipv4Addr addr) const noexcept;
+  // Longest-prefix-match over subnet prefixes (one binary search: subnets
+  // are disjoint, so the match is unique).
+  std::optional<SubnetId> find_subnet_containing(net::Ipv4Addr addr) const noexcept {
+    return subnet_index_.find(addr);
+  }
 
-  std::optional<SubnetId> find_subnet_exact(const net::Prefix& prefix) const noexcept;
+  std::optional<SubnetId> find_subnet_exact(const net::Prefix& prefix) const noexcept {
+    return subnet_index_.find_exact(prefix);
+  }
 
   // The node's interface on `subnet`, if attached.
   std::optional<InterfaceId> interface_on(NodeId node, SubnetId subnet) const noexcept;
@@ -103,7 +109,7 @@ class Topology {
   std::vector<bool> per_packet_lb_;
 
   std::unordered_map<net::Ipv4Addr, InterfaceId> addr_to_interface_;
-  std::unordered_map<net::Prefix, SubnetId> prefix_to_subnet_;
+  net::PrefixIndex subnet_index_;  // subnet prefix -> SubnetId
 
   std::uint64_t version_ = 0;
 };

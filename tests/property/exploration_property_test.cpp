@@ -28,9 +28,15 @@ net::Ipv4Addr ip(const char* text) { return *net::Ipv4Addr::parse(text); }
 
 struct Params {
   int prefix_length;
+  // gtest names each case after the raw bytes of its parameter. These four
+  // bytes used to be implicit padding, whose contents changed from build to
+  // build; spelled out, they keep every case under the name it was first
+  // registered with.
+  std::uint32_t name_tag;
   double utilization;
   std::uint64_t seed;
 };
+static_assert(sizeof(Params) == 24, "Params must have no padding bytes");
 
 class ExplorationProperty : public ::testing::TestWithParam<Params> {
  protected:
@@ -140,12 +146,14 @@ TEST_P(ExplorationProperty, DeterministicAcrossRuns) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ExplorationProperty,
     ::testing::Values(
-        Params{30, 1.0, 1}, Params{30, 1.0, 2},
-        Params{29, 1.0, 3}, Params{29, 0.7, 4}, Params{29, 0.5, 5},
-        Params{28, 1.0, 6}, Params{28, 0.8, 7}, Params{28, 0.6, 8},
-        Params{28, 0.3, 9}, Params{27, 0.9, 10}, Params{27, 0.5, 11},
-        Params{26, 0.8, 12}, Params{26, 0.4, 13}, Params{25, 0.7, 14},
-        Params{24, 0.7, 15}, Params{24, 0.3, 16}),
+        Params{30, 0x00, 1.0, 1}, Params{30, 0x4D, 1.0, 2},
+        Params{29, 0xFF, 1.0, 3}, Params{29, 0x6D, 0.7, 4},
+        Params{29, 0x00, 0.5, 5}, Params{28, 0xFF, 1.0, 6},
+        Params{28, 0xB3, 0.8, 7}, Params{28, 0xB3, 0.6, 8},
+        Params{28, 0xFF, 0.3, 9}, Params{27, 0x4D, 0.9, 10},
+        Params{27, 0x00, 0.5, 11}, Params{26, 0x6D, 0.8, 12},
+        Params{26, 0x00, 0.4, 13}, Params{25, 0x6D, 0.7, 14},
+        Params{24, 0x00, 0.7, 15}, Params{24, 0xB3, 0.3, 16}),
     [](const ::testing::TestParamInfo<Params>& info) {
       return "p" + std::to_string(info.param.prefix_length) + "_u" +
              std::to_string(static_cast<int>(info.param.utilization * 100)) +

@@ -118,26 +118,44 @@ TEST(CampaignRuntime, ByteIdenticalToSerialOnReferenceTopologies) {
   }
 }
 
+// clean_isp() with three targets per LAN: several targets share a subnet, so
+// a subnet grown from one target covers the others. (With one target per LAN
+// the stop set has nothing to skip and both runs spend the same probes.)
+topo::IspProfile shared_lan_isp() {
+  topo::IspProfile isp = clean_isp();
+  isp.targets_per_lan = 3;
+  return isp;
+}
+
+CampaignReport run_stop_set_campaign(const topo::SimulatedInternet& internet,
+                                     int jobs, bool share_stop_set) {
+  sim::Network net(internet.topo);
+  RuntimeConfig config;
+  config.jobs = jobs;
+  config.share_stop_set = share_stop_set;
+  CampaignRuntime runtime(net, internet.vantages.front(), config);
+  return runtime.run("V", internet.all_targets());
+}
+
 TEST(CampaignRuntime, SharedStopSetSavesWireProbes) {
   const topo::SimulatedInternet internet =
-      topo::build_internet({clean_isp()}, 11);
-  const auto targets = internet.all_targets();
+      topo::build_internet({shared_lan_isp()}, 11);
 
-  sim::Network net_on(internet.topo);
-  RuntimeConfig config_on;
-  config_on.jobs = 2;
-  CampaignRuntime runtime_on(net_on, internet.vantages.front(), config_on);
-  const CampaignReport on = runtime_on.run("V", targets);
+  // Serial: the skips are a pure function of target order, so the saving is
+  // strict and the same on every run.
+  const CampaignReport on1 = run_stop_set_campaign(internet, 1, true);
+  const CampaignReport off1 = run_stop_set_campaign(internet, 1, false);
+  expect_identical_observations(on1.observations, off1.observations);
+  EXPECT_LT(on1.wire_probes, off1.wire_probes);
+  EXPECT_LT(on1.sessions_run, off1.sessions_run);
+  EXPECT_GT(on1.stop_set_prefixes, 0u);
 
-  sim::Network net_off(internet.topo);
-  RuntimeConfig config_off;
-  config_off.jobs = 2;
-  config_off.share_stop_set = false;
-  CampaignRuntime runtime_off(net_off, internet.vantages.front(), config_off);
-  const CampaignReport off = runtime_off.run("V", targets);
-
-  // Same canonical output either way; the stop set only sheds probe cost.
+  // Two workers: which targets a worker skips depends on the schedule, but
+  // the stop set still only sheds probe cost.
+  const CampaignReport on = run_stop_set_campaign(internet, 2, true);
+  const CampaignReport off = run_stop_set_campaign(internet, 2, false);
   expect_identical_observations(on.observations, off.observations);
+  expect_identical_observations(on.observations, on1.observations);
   EXPECT_LE(on.wire_probes, off.wire_probes);
   EXPECT_LE(on.sessions_run, off.sessions_run);
   EXPECT_GT(on.stop_set_prefixes, 0u);

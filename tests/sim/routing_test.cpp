@@ -1,6 +1,9 @@
 #include "sim/routing.h"
 
+#include <atomic>
 #include <deque>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include "testutil.h"
 #include "topo/isp.h"
 #include "topo/reference.h"
+#include "util/rng.h"
 
 namespace tn::sim {
 namespace {
@@ -113,24 +117,9 @@ TEST(Routing, ShortestPathEgressPointsBackToSource) {
   EXPECT_EQ(f.topo.interface(local).addr, ip("10.0.0.2"));
 }
 
-TEST(Routing, CacheInvalidatesOnTopologyChange) {
-  Topology t;
-  const NodeId a = t.add_router("a");
-  const NodeId b = t.add_router("b");
-  const SubnetId s = t.add_subnet(pfx("10.0.0.0/31"));
-  const SubnetId leaf = t.add_subnet(pfx("10.0.1.0/30"));
-  t.attach(a, s, ip("10.0.0.0"));
-  t.attach(b, leaf, ip("10.0.1.1"));
-
-  RoutingTable routes(t);
-  EXPECT_EQ(routes.distance(a, leaf), RoutingTable::kUnreachable);
-  t.attach(b, s, ip("10.0.0.1"));  // connect the island
-  EXPECT_EQ(routes.distance(a, leaf), 1);
-}
-
 // Reference implementation for the equivalence pins below: the original
 // full-graph BFS (every LAN relaxes every member, hosts guard at the pop)
-// that the router-slice BFS in sim/routing.cpp replaced for speed. The
+// that the routing plane in sim/routing.cpp replaced for speed. The
 // production table must reproduce its distances and next-hop sets exactly.
 std::vector<int> full_graph_distances(const Topology& t, SubnetId target) {
   std::vector<int> dist(t.node_count(), RoutingTable::kUnreachable);
@@ -181,8 +170,8 @@ std::vector<RoutingTable::NextHop> full_graph_next_hops(
   return out;
 }
 
-void expect_routes_match(const Topology& t, SubnetId stride) {
-  RoutingTable routes(t);
+void expect_routes_match(const RoutingTable& routes, const Topology& t,
+                         SubnetId stride) {
   for (SubnetId s = 0; s < t.subnet_count(); s += stride) {
     const std::vector<int> ref = full_graph_distances(t, s);
     for (NodeId n = 0; n < t.node_count(); ++n) {
@@ -201,6 +190,193 @@ void expect_routes_match(const Topology& t, SubnetId stride) {
       }
     }
   }
+}
+
+void expect_routes_match(const Topology& t, SubnetId stride) {
+  const RoutingTable routes(t);
+  expect_routes_match(routes, t, stride);
+}
+
+// A seeded random topology with every kind of route seed the routing plane
+// distinguishes: multi-access LANs with several routers (one with a dozen),
+// LANs with one router, host-only LANs, multi-homed hosts (the only hosts
+// that seed routes, by delivering onto a target they are attached to), and
+// an island of routers no transit path from the rest reaches.
+struct RandomTopology {
+  Topology topo;
+  std::size_t multi_homed_hosts = 0;
+  std::size_t host_only_lans = 0;
+};
+
+RandomTopology random_topology(std::uint64_t seed) {
+  util::Rng rng(seed);
+  RandomTopology out;
+  Topology& t = out.topo;
+  std::vector<std::uint32_t> next_host;  // by SubnetId: next free address
+  const auto lan = [&] {
+    const SubnetId id = t.add_subnet(net::Prefix::covering(
+        net::Ipv4Addr(0x0A000000u + 16u * static_cast<std::uint32_t>(
+                                              t.subnet_count())),
+        28));
+    next_host.push_back(1);
+    return id;
+  };
+  const auto join = [&](NodeId node, SubnetId subnet) {
+    if (t.interface_on(node, subnet) || next_host[subnet] > 14) return;
+    t.attach(node, subnet,
+             net::Ipv4Addr(t.subnet(subnet).prefix.network().value() +
+                           next_host[subnet]++));
+  };
+  const auto pick = [&](const std::vector<NodeId>& from) {
+    return from[rng.below(from.size())];
+  };
+
+  std::vector<NodeId> core;
+  std::vector<NodeId> island;
+  for (int i = 0; i < 24; ++i) core.push_back(t.add_router("r"));
+  for (int i = 0; i < 4; ++i) island.push_back(t.add_router("i"));
+  for (int i = 0; i < 18; ++i) {  // transit LANs, two to four routers
+    const SubnetId s = lan();
+    for (std::uint64_t k = 2 + rng.below(3); k > 0; --k) join(pick(core), s);
+  }
+  const SubnetId backbone = lan();  // a dozen routers on one LAN
+  for (std::size_t k = 0; k < 12; ++k)
+    join(core[(5 * k + seed) % core.size()], backbone);
+  for (int i = 0; i < 3; ++i) {  // the island's own transit LANs
+    const SubnetId s = lan();
+    join(island[i], s);
+    join(island[i + 1], s);
+  }
+
+  std::vector<SubnetId> access;  // LANs hosts live on
+  for (int i = 0; i < 16; ++i) {
+    const SubnetId s = lan();
+    access.push_back(s);
+    const std::uint64_t routers = rng.below(3);  // 0: a host-only LAN
+    for (std::uint64_t k = 0; k < routers; ++k) join(pick(core), s);
+    if (routers == 0) ++out.host_only_lans;
+  }
+  const SubnetId island_access = lan();
+  join(island[0], island_access);
+  access.push_back(island_access);
+
+  for (int i = 0; i < 40; ++i) {
+    const NodeId h = t.add_host("h");
+    join(h, access[rng.below(access.size())]);
+    if (rng.chance(0.4)) {  // multi-homed: one or two more LANs of any kind
+      for (std::uint64_t k = 1 + rng.below(2); k > 0; --k)
+        join(h, static_cast<SubnetId>(rng.below(t.subnet_count())));
+    }
+    if (t.node(h).interfaces.size() > 1) ++out.multi_homed_hosts;
+  }
+  return out;
+}
+
+TEST(Routing, RoutesMatchFullGraphBfsOnRandomTopologiesWithMultiHomedHosts) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const RandomTopology random = random_topology(seed);
+    ASSERT_GT(random.multi_homed_hosts, 0u) << "seed " << seed;
+    ASSERT_GT(random.host_only_lans, 0u) << "seed " << seed;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_routes_match(random.topo, 1);
+  }
+}
+
+TEST(Routing, CacheInvalidatesOnTopologyChange) {
+  Topology t;
+  const NodeId a = t.add_router("a");
+  const NodeId b = t.add_router("b");
+  const SubnetId s = t.add_subnet(pfx("10.0.0.0/31"));
+  const SubnetId leaf = t.add_subnet(pfx("10.0.1.0/30"));
+  t.attach(a, s, ip("10.0.0.0"));
+  t.attach(b, leaf, ip("10.0.1.1"));
+
+  RoutingTable routes(t);
+  EXPECT_EQ(routes.distance(a, leaf), RoutingTable::kUnreachable);
+  t.attach(b, s, ip("10.0.0.1"));  // connect the island
+  EXPECT_EQ(routes.distance(a, leaf), 1);
+
+  // Rows toward both subnets are cached now. Put a second LAN behind b and
+  // route across it, then take b out of forwarding: a loses the far LAN,
+  // while b, still on the leaf as a multi-homed host, delivers onto it.
+  const NodeId c = t.add_router("c");
+  const SubnetId bc = t.add_subnet(pfx("10.0.0.2/31"));
+  const SubnetId far = t.add_subnet(pfx("10.0.2.0/29"));
+  t.attach(b, bc, ip("10.0.0.2"));
+  t.attach(c, bc, ip("10.0.0.3"));
+  t.attach(c, far, ip("10.0.2.1"));
+  EXPECT_EQ(routes.distance(a, far), 2);
+  EXPECT_EQ(routes.distance(c, leaf), 1);
+  t.node_mut(b).is_host = true;  // b stops forwarding ...
+  t.add_subnet(pfx("10.0.3.0/30"));  // ... once a mutation bumps the version
+  EXPECT_EQ(routes.distance(a, far), RoutingTable::kUnreachable);
+  EXPECT_EQ(routes.distance(c, leaf), 1);
+  EXPECT_EQ(routes.distance(a, leaf), 1);
+  expect_routes_match(routes, t, 1);
+
+  // A multi-homed host on a new LAN of a's and on the far LAN delivers for a.
+  const NodeId h = t.add_host("h");
+  const SubnetId ah = t.add_subnet(pfx("10.0.0.4/31"));
+  t.attach(a, ah, ip("10.0.0.4"));
+  t.attach(h, ah, ip("10.0.0.5"));
+  t.attach(h, far, ip("10.0.2.2"));
+  EXPECT_EQ(routes.distance(a, far), 1);
+  const auto hops = routes.next_hops(a, far);
+  ASSERT_EQ(hops.size(), 1u);
+  EXPECT_EQ(hops[0].node, h);
+  expect_routes_match(routes, t, 1);
+}
+
+// Route reads are lock-free: four threads race cold queries on one table —
+// every distance row is computed and published under contention — and every
+// answer must equal a serial table's.
+TEST(Routing, ConcurrentColdQueriesMatchSerialTable) {
+  const topo::SimulatedInternet internet =
+      topo::build_internet(topo::default_isp_profiles(), 7);
+  const Topology& t = internet.topo;
+  struct Query {
+    NodeId from;
+    SubnetId target;
+    int distance;
+    std::vector<RoutingTable::NextHop> hops;
+  };
+  std::vector<Query> queries;
+  {
+    const RoutingTable serial(t);
+    for (SubnetId s = 0; s < t.subnet_count(); s += 3) {
+      for (const NodeId from :
+           {internet.vantages[s % internet.vantages.size()],
+            static_cast<NodeId>((s * 7919u) % t.node_count())})
+        queries.push_back(
+            Query{from, s, serial.distance(from, s), serial.next_hops(from, s)});
+    }
+  }
+
+  const RoutingTable shared(t);
+  std::atomic<int> ready{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 4; ++k) {
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) std::this_thread::yield();
+      // Two threads walk forward and two backward, so they meet on cold rows.
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const Query& q = queries[k % 2 == 0 ? i : queries.size() - 1 - i];
+        const auto hops = shared.next_hops(q.from, q.target);
+        bool same = shared.distance(q.from, q.target) == q.distance &&
+                    hops.size() == q.hops.size();
+        for (std::size_t j = 0; same && j < hops.size(); ++j)
+          same = hops[j].node == q.hops[j].node &&
+                 hops[j].egress == q.hops[j].egress &&
+                 hops[j].ingress == q.hops[j].ingress;
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(queries.size(), 1000u);
 }
 
 TEST(Routing, RoutesMatchFullGraphBfsOnReferenceTopologies) {
