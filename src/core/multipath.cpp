@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "net/prefix_index.h"
 #include "probe/cache.h"
 #include "probe/retry.h"
 #include "util/log.h"
@@ -91,15 +92,14 @@ MultipathSessionResult MultipathTracenetSession::run(
   SubnetExplorer explorer(cached, explore_config);
 
   std::map<net::Prefix, ObservedSubnet> by_prefix;
+  net::NestedPrefixIndex covered;  // by_prefix's non-/32 keys
   std::optional<net::Ipv4Addr> previous;  // single-responder previous hop
   for (const MultipathHop& hop : result.paths.hops) {
     for (const net::Ipv4Addr v : hop.responders) {
-      bool covered = false;
-      for (const auto& [prefix, subnet] : by_prefix)
-        covered |= prefix.length() < 32 && prefix.contains(v);
-      if (covered) continue;
+      if (covered.covers(v)) continue;
       const Position position = positioner.position(previous, v, hop.ttl);
       ObservedSubnet subnet = explorer.explore(position);
+      if (subnet.prefix.length() < 32) covered.insert(subnet.prefix, 0);
       const auto [it, inserted] = by_prefix.emplace(subnet.prefix, subnet);
       if (!inserted && subnet.members.size() > it->second.members.size())
         it->second = std::move(subnet);

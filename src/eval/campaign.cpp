@@ -19,9 +19,7 @@ CampaignAccumulator::CampaignAccumulator(std::string vantage_name,
 }
 
 bool CampaignAccumulator::covered(net::Ipv4Addr addr) const {
-  for (const auto& [prefix, subnet] : by_prefix_)
-    if (prefix.contains(addr)) return true;
-  return false;
+  return covered_.covers(addr);
 }
 
 void CampaignAccumulator::add(const core::SessionResult& result) {
@@ -36,7 +34,9 @@ void CampaignAccumulator::add(const core::SessionResult& result) {
       continue;
     }
     const auto [it, inserted] = by_prefix_.emplace(subnet.prefix, subnet);
-    if (!inserted && subnet.members.size() > it->second.members.size())
+    if (inserted)
+      covered_.insert(subnet.prefix, 0);
+    else if (subnet.members.size() > it->second.members.size())
       it->second = subnet;
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/session.h"
+#include "net/prefix_index.h"
 #include "sim/network.h"
 
 namespace tn::eval {
@@ -61,6 +62,7 @@ class CampaignAccumulator {
  private:
   VantageObservations out_;
   std::map<net::Prefix, core::ObservedSubnet> by_prefix_;
+  net::NestedPrefixIndex covered_;  // by_prefix_'s keys; values unused
 };
 
 // Runs a full campaign: one tracenet session per (not-yet-covered) target.

@@ -46,4 +46,24 @@ std::optional<PrefixIndex::Value> PrefixIndex::find_exact(
   return candidate.value;
 }
 
+std::optional<NestedPrefixIndex::Value> NestedPrefixIndex::insert(
+    const Prefix& prefix, Value value) {
+  // A prefix already present sits in the first layer it did not overlap, and
+  // every earlier layer still overlaps it (nothing is ever removed), so the
+  // walk reaches that layer before any layer could accept a copy.
+  for (PrefixIndex& layer : layers_) {
+    if (!layer.insert(prefix, value)) return std::nullopt;
+    if (const auto existing = layer.find_exact(prefix)) return existing;
+  }
+  layers_.emplace_back().insert(prefix, value);
+  return std::nullopt;
+}
+
+bool NestedPrefixIndex::covers(Ipv4Addr addr) const noexcept {
+  return std::any_of(layers_.begin(), layers_.end(),
+                     [addr](const PrefixIndex& layer) {
+                       return layer.find(addr).has_value();
+                     });
+}
+
 }  // namespace tn::net

@@ -5,7 +5,8 @@
 // and inspects replies.  Implementations:
 //   * SimProbeEngine     — probes the in-process simulator (experiments, tests)
 //   * RawSocketProbeEngine — probes the live Internet over raw ICMP sockets
-//   * CachingProbeEngine / RetryingProbeEngine — stacking decorators
+//   * CachingProbeEngine / RetryingProbeEngine — stacking decorators; the
+//     caching one is thread-safe, so a campaign's workers can share one
 #pragma once
 
 #include <atomic>

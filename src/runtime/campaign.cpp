@@ -6,7 +6,7 @@
 #include <optional>
 #include <thread>
 
-#include "probe/shared_cache.h"
+#include "probe/cache.h"
 #include "probe/sim_engine.h"
 #include "runtime/pacer.h"
 #include "runtime/queue.h"
@@ -74,7 +74,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
                          ? ProbePacer(config_.pps, config_.burst, sched)
                          : ProbePacer();
   PacedProbeEngine paced(wire, pacer, &wire_counter, waves);
-  std::optional<probe::SharedCachingProbeEngine> shared_cache;
+  std::optional<probe::CachingProbeEngine> shared_cache;
   probe::ProbeEngine* base = &paced;
   if (config_.share_probe_cache) {
     shared_cache.emplace(paced);
@@ -85,7 +85,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   }
 
   TargetQueue queue(targets);
-  SharedSubnetCache subnet_cache;
+  SharedStopSet stop_set;
   const std::size_t count = queue.size();
   std::vector<std::optional<core::SessionResult>> results(count);
   std::atomic<std::uint64_t> sessions_run{0};
@@ -128,8 +128,8 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
     core::SessionConfig session_config = session_template;
     if (!config_.deterministic && config_.share_stop_set) {
       // Fast mode: Doubletree-style hop skipping against the global set.
-      session_config.covered_externally = [&subnet_cache](net::Ipv4Addr addr) {
-        return subnet_cache.covers(addr);
+      session_config.covered_externally = [&stop_set](net::Ipv4Addr addr) {
+        return stop_set.covers(addr);
       };
     }
     core::TracenetSession session(local, session_config);
@@ -148,10 +148,9 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
         // Deterministic mode may only take skips that hold under any worker
         // schedule: coverage from an already-completed lower-index target
         // (what a serial run would have merged before reaching this one).
-        const bool skip =
-            config_.deterministic
-                ? subnet_cache.stop_set().covered_by_lower(target, index)
-                : subnet_cache.covers(target);
+        const bool skip = config_.deterministic
+                              ? stop_set.covered_by_lower(target, index)
+                              : stop_set.covers(target);
         if (skip) {
           stop_set_skips.fetch_add(1, std::memory_order_relaxed);
           skips_counter.add();
@@ -178,7 +177,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
       resize_counter.add(result.window_resizes);
 
       for (const core::ObservedSubnet& subnet : result.subnets)
-        subnet_cache.insert(subnet, index);
+        stop_set.insert(subnet.prefix, index);
       results[index] = std::move(result);
       sessions_run.fetch_add(1, std::memory_order_relaxed);
       sessions_counter.add();
@@ -267,7 +266,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   report.wire_probes = wire.probes_issued();
   report.sessions_run = sessions_run.load(std::memory_order_relaxed);
   report.stop_set_skips = stop_set_skips.load(std::memory_order_relaxed);
-  report.stop_set_prefixes = subnet_cache.stop_set().size();
+  report.stop_set_prefixes = stop_set.size();
 
   if (trace::on(campaign_rec, trace::Level::kSession)) {
     // Only replay-invariant fields: sessions_run / wire_probes are

@@ -7,11 +7,11 @@
 //
 //     SimProbeEngine (thread-safe simulator; walks run in parallel)
 //       -> PacedProbeEngine (aggregate token-bucket rate cap, --pps)
-//       -> SharedCachingProbeEngine (cross-session reply memoization)
+//       -> CachingProbeEngine (cross-session reply memoization)
 //       -> per-worker ForwardingProbeEngine (local probe accounting)
 //       -> per-worker TracenetSession (retry + per-session cache on top)
 //
-// while a SharedSubnetCache (Doubletree-style stop set) lets any worker
+// while a SharedStopSet (Doubletree-style covered prefixes) lets any worker
 // skip targets — and in fast mode, hops — already inside a subnet some
 // other worker grew.
 //

@@ -66,5 +66,34 @@ TEST(Campaign, TargetsRespondingTracksReachability) {
   EXPECT_EQ(obs.targets_responding, 1u);  // the firewalled one never answers
 }
 
+core::SessionResult session_with(const net::Prefix& prefix, int members) {
+  core::ObservedSubnet subnet;
+  subnet.prefix = prefix;
+  subnet.pivot = prefix.at(1);
+  for (int i = 0; i < members; ++i)
+    subnet.members.push_back(prefix.at(static_cast<std::uint64_t>(i)));
+  core::SessionResult result;
+  result.subnets.push_back(subnet);
+  return result;
+}
+
+TEST(Campaign, AccumulatorKeepsRichestMemberSetPerPrefix) {
+  CampaignAccumulator acc("V", 4);
+  acc.add(session_with(pfx("10.0.1.0/28"), 2));
+  acc.add(session_with(pfx("10.0.1.0/28"), 6));
+  acc.add(session_with(pfx("10.0.1.0/28"), 4));
+  // A nested subnet is kept beside the one containing it.
+  acc.add(session_with(pfx("10.0.1.0/30"), 3));
+  EXPECT_TRUE(acc.covered(ip("10.0.1.2")));
+  EXPECT_TRUE(acc.covered(ip("10.0.1.15")));
+  EXPECT_FALSE(acc.covered(ip("10.0.1.16")));
+  const VantageObservations obs = acc.finalize();
+  EXPECT_EQ(obs.targets_traced, 4u);
+  ASSERT_EQ(obs.subnets.size(), 2u);
+  EXPECT_EQ(obs.subnets[0].prefix, pfx("10.0.1.0/28"));
+  EXPECT_EQ(obs.subnets[0].members.size(), 6u);
+  EXPECT_EQ(obs.subnets[1].members.size(), 3u);
+}
+
 }  // namespace
 }  // namespace tn::eval

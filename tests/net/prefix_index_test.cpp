@@ -1,6 +1,8 @@
 #include "net/prefix_index.h"
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +95,62 @@ TEST(PrefixIndex, MatchesLinearScanOnRandomPrefixes) {
       ASSERT_EQ(index.find(addr), want) << addr.to_string();
     }
     for (const auto& [q, value] : kept) ASSERT_EQ(index.find_exact(q), value);
+  }
+}
+
+// Random nested sets against the naive definition: every inserted prefix
+// containing the address matches, and an exact repeat keeps its first value.
+// Prefixes are grown around a few anchors, the two ends of the address space
+// among them, so chains of /1 to /31 nest many layers deep.
+TEST(NestedPrefixIndex, MatchesLinearScanOnRandomNestedPrefixes) {
+  using Value = NestedPrefixIndex::Value;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    std::vector<Ipv4Addr> anchors = {Ipv4Addr(0u), Ipv4Addr(0xFFFFFFFFu)};
+    for (int i = 0; i < 6; ++i)
+      anchors.emplace_back(static_cast<std::uint32_t>(rng.next()));
+    std::vector<Prefix> order;
+    for (int i = 0; i < 400; ++i) {
+      const Ipv4Addr around =
+          rng.chance(0.8) ? anchors[rng.below(anchors.size())]
+                          : Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+      order.push_back(Prefix::covering(around, 1 + static_cast<int>(rng.below(31))));
+    }
+    // Exact repeats, which carry other values.
+    for (int i = 0; i < 100; ++i) order.push_back(order[rng.below(order.size())]);
+    rng.shuffle(order);
+
+    NestedPrefixIndex index;
+    std::map<Prefix, Value> kept;
+    for (Value v = 0; v < order.size(); ++v) {
+      const Prefix& p = order[v];
+      const auto first = kept.find(p);
+      if (first == kept.end()) {
+        ASSERT_FALSE(index.insert(p, v)) << p.to_string();
+        kept.emplace(p, v);
+      } else {
+        ASSERT_EQ(index.insert(p, v), first->second) << p.to_string();
+      }
+    }
+
+    std::vector<Ipv4Addr> queries(anchors);
+    for (const auto& [q, value] : kept) {
+      queries.push_back(q.network());
+      queries.push_back(q.broadcast());
+    }
+    for (int i = 0; i < 2000; ++i)
+      queries.emplace_back(static_cast<std::uint32_t>(rng.next()));
+    for (const Ipv4Addr addr : queries) {
+      std::vector<Value> want;
+      for (const auto& [q, value] : kept)
+        if (q.contains(addr)) want.push_back(value);
+      std::vector<Value> got;
+      index.for_each_covering(addr, [&](Value v) { got.push_back(v); });
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << addr.to_string();
+      ASSERT_EQ(index.covers(addr), !want.empty()) << addr.to_string();
+    }
   }
 }
 

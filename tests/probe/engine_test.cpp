@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "probe/cache.h"
@@ -202,6 +203,85 @@ TEST_F(ProbeEngineTest, CacheBatchForwardsOnlyMisses) {
   // The duplicate's reply is now cached: re-asking costs no wire probe.
   cached.direct(f.pivot4);
   EXPECT_EQ(wire.probes_issued(), 2u);
+}
+
+TEST_F(ProbeEngineTest, CacheForwardsSilenceItDoesNotKeep) {
+  SimProbeEngine wire(net, f.vantage);
+  CachingProbeEngine cached(wire);
+  const net::Ipv4Addr silent = ip("192.168.1.9");
+  cached.set_cache_unresponsive(false);
+  EXPECT_TRUE(cached.direct(silent).is_none());
+  EXPECT_TRUE(cached.direct(silent).is_none());
+  EXPECT_EQ(wire.probes_issued(), 2u);
+  EXPECT_EQ(cached.misses(), 2u);
+  // Kept silence answers the next repeat from memory.
+  cached.set_cache_unresponsive(true);
+  cached.direct(silent);
+  cached.direct(silent);
+  EXPECT_EQ(wire.probes_issued(), 3u);
+  EXPECT_EQ(cached.hits(), 1u);
+}
+
+// Many threads share one cache, as the campaign workers do: overlapping
+// single probes and waves (duplicates inside a wave included) must each get
+// the reply an uncached network gives, and every request is scored exactly
+// once as a hit or a miss. Run under TSan via tools/check.sh.
+TEST_F(ProbeEngineTest, CacheHammerMatchesUncachedReplies) {
+  std::vector<net::Probe> pool;
+  for (const char* addr : {"192.168.1.2", "192.168.1.3", "192.168.1.4",
+                           "192.168.1.9", "10.0.3.2", "10.0.4.1", "10.0.4.2"})
+    for (std::uint16_t flow = 0; flow < 2; ++flow)
+      for (std::uint8_t ttl = 1; ttl <= 7; ++ttl) {
+        net::Probe p = ttl == 7 ? direct_probe(ip(addr))
+                                : indirect_probe(ip(addr), ttl);
+        p.flow_id = flow;
+        pool.push_back(p);
+      }
+  sim::Network reference_net(f.topo);
+  SimProbeEngine reference(reference_net, f.vantage);
+  std::vector<net::ProbeReply> want;
+  for (const net::Probe& p : pool) want.push_back(reference.probe(p));
+
+  SimProbeEngine wire(net, f.vantage);
+  CachingProbeEngine cached(wire);
+  constexpr int kThreads = 8;
+  std::atomic<std::uint64_t> requests{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::size_t next = static_cast<std::size_t>(t) * 7;
+      for (int round = 0; round < 200; ++round) {
+        const std::size_t n = 1 + (next + round) % 5;
+        std::vector<std::size_t> picks;
+        for (std::size_t i = 0; i < n; ++i)
+          picks.push_back((next + i * 13 + (i % 2) * round) % pool.size());
+        picks.push_back(picks.front());  // a duplicate within the wave
+        next = (next * 31 + 17) % pool.size();
+        std::vector<net::ProbeReply> got;
+        if (round % 3 == 0) {
+          for (const std::size_t pick : picks)
+            got.push_back(cached.probe(pool[pick]));
+        } else {
+          std::vector<net::Probe> wave;
+          for (const std::size_t pick : picks) wave.push_back(pool[pick]);
+          got = cached.probe_batch(wave);
+        }
+        requests.fetch_add(picks.size());
+        for (std::size_t i = 0; i < picks.size(); ++i)
+          if (got[i].type != want[picks[i]].type ||
+              got[i].responder != want[picks[i]].responder)
+            wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cached.probes_issued(), requests.load());
+  EXPECT_EQ(cached.hits() + cached.misses(), requests.load());
+  EXPECT_EQ(wire.probes_issued(), cached.misses());
+  EXPECT_GT(cached.hits(), 0u);
 }
 
 TEST_F(ProbeEngineTest, RetryBatchReprobesOnlySilentSubset) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 gate: the full test suite once normally, then the concurrent
-# runtime and routing tests again under ThreadSanitizer
+# runtime, reply-cache and routing tests again under ThreadSanitizer
 # (-DTN_SANITIZE=thread), with the same filter as the CI tsan job.
 # Run from anywhere; builds into build/ and build-tsan/ at the repo root.
 set -eu
@@ -13,10 +13,10 @@ cmake -B "$repo/build" -S "$repo"
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
-echo "== tsan: runtime and routing tests under ThreadSanitizer =="
+echo "== tsan: runtime, reply-cache and routing tests under ThreadSanitizer =="
 cmake -B "$repo/build-tsan" -S "$repo" -DTN_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test sim_test
+cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test sim_test probe_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R 'Metrics|Pacer|SharedStopSet|SharedSubnetCache|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler|Routing'
+  -R 'Metrics|Pacer|SharedStopSet|SharedSubnetCache|CacheHammer|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler|Routing'
 
 echo "== all checks passed =="
