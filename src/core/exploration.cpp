@@ -192,9 +192,8 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
     rec->emit("subnet", attrs);
   }
 
-  util::log(util::LogLevel::kDebug, "explore", "pivot ",
-            ctx.pivot.to_string(), " -> ", out.to_string(), " (",
-            to_string(stop), ")");
+  util::log(util::LogLevel::kDebug, "explore", "pivot ", ctx.pivot, " -> ",
+            out, " (", to_string(stop), ")");
   return out;
 }
 

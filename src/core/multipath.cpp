@@ -117,8 +117,7 @@ MultipathSessionResult MultipathTracenetSession::run(
 
   util::log(util::LogLevel::kInfo, "multipath", "collected ",
             result.subnets.size(), " subnets over ",
-            result.paths.diamond_count(), " diamonds toward ",
-            destination.to_string());
+            result.paths.diamond_count(), " diamonds toward ", destination);
   return result;
 }
 

@@ -92,10 +92,9 @@ Position SubnetPositioner::position(std::optional<net::Ipv4Addr> u,
   if (ingress_probe.is_ttl_exceeded())
     result.ingress = ingress_probe.responder;
 
-  util::log(util::LogLevel::kDebug, "position", "v=", v.to_string(), " d=", d,
-            " -> pivot=", result.pivot.to_string(), " jh=",
-            result.pivot_distance, result.on_trace_path ? " on" : " off",
-            "-path");
+  util::log(util::LogLevel::kDebug, "position", "v=", v, " d=", d,
+            " -> pivot=", result.pivot, " jh=", result.pivot_distance,
+            result.on_trace_path ? " on" : " off", "-path");
   return result;
 }
 

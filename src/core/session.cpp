@@ -183,7 +183,7 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
   }
   util::log(util::LogLevel::kInfo, "session", "collected ",
             result.subnets.size(), " subnets toward ",
-            destination.to_string(), " with ", result.wire_probes,
+            destination, " with ", result.wire_probes,
             " wire probes");
   return result;
 }

@@ -77,7 +77,7 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
     if (reply.is_none()) {
       if (++anonymous_run >= config_.anonymous_gap_limit) {
         util::log(util::LogLevel::kDebug, "traceroute",
-                  "abandoning trace to ", destination.to_string(), " after ",
+                  "abandoning trace to ", destination, " after ",
                   anonymous_run, " anonymous hops");
         stop_reason = "gap";
         break;
@@ -93,7 +93,7 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
         path.hops[n - 2].reply.responder == reply.responder &&
         path.hops[n - 3].reply.responder == reply.responder) {
       util::log(util::LogLevel::kDebug, "traceroute", "loop detected at ",
-                reply.responder.to_string());
+                reply.responder);
       stop_reason = "loop";
       break;
     }

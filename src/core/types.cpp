@@ -53,6 +53,10 @@ std::string ObservedSubnet::to_string() const {
   return os.str();
 }
 
+std::ostream& operator<<(std::ostream& os, const ObservedSubnet& subnet) {
+  return os << subnet.to_string();
+}
+
 std::vector<net::Ipv4Addr> TracePath::responders() const {
   std::vector<net::Ipv4Addr> out;
   for (const TraceHop& hop : hops)

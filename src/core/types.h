@@ -6,6 +6,7 @@
 // and why growth stopped.
 #pragma once
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -78,6 +79,9 @@ struct ObservedSubnet {
   // "192.168.1.0/29 {192.168.1.1*, 192.168.1.2^, ...}" (* contra, ^ pivot)
   std::string to_string() const;
 };
+
+// Streams to_string(), so a log line that is switched off builds no string.
+std::ostream& operator<<(std::ostream& os, const ObservedSubnet& subnet);
 
 // One hop of the trace-collection phase.
 struct TraceHop {

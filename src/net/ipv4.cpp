@@ -1,6 +1,7 @@
 #include "net/ipv4.h"
 
 #include <cstdio>
+#include <ostream>
 
 namespace tn::net {
 
@@ -9,6 +10,10 @@ std::string Ipv4Addr::to_string() const {
   std::snprintf(buffer, sizeof buffer, "%u.%u.%u.%u", (value_ >> 24) & 0xFF,
                 (value_ >> 16) & 0xFF, (value_ >> 8) & 0xFF, value_ & 0xFF);
   return buffer;
+}
+
+std::ostream& operator<<(std::ostream& os, Ipv4Addr addr) {
+  return os << addr.to_string();
 }
 
 std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) noexcept {

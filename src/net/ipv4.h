@@ -6,6 +6,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,6 +55,9 @@ class Ipv4Addr {
  private:
   std::uint32_t value_ = 0;
 };
+
+// Streams to_string(), so a log line that is switched off builds no string.
+std::ostream& operator<<(std::ostream& os, Ipv4Addr addr);
 
 }  // namespace tn::net
 

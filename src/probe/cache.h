@@ -16,18 +16,21 @@
 // set). So the table is thread-safe: sharded by key hash, one mutex per
 // shard, and the inner engine is probed outside every lock. A session-private
 // instance pays a few uncontended locks per probe for that, which is noise
-// against the session's own CPU. Replies are assumed stable for the lifetime
-// of the cache — the trade Doubletree makes; clear() drops everything.
+// against the session's own CPU. Each shard is a flat open-addressing
+// ReplyTable (probe/reply_table.h). Replies are assumed stable for the
+// lifetime of the cache — the trade Doubletree makes; clear() drops
+// everything.
 #pragma once
 
 #include <array>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "probe/engine.h"
+#include "probe/reply_table.h"
+#include "util/flat_table.h"
 
 namespace tn::probe {
 
@@ -76,58 +79,52 @@ class CachingProbeEngine final : public ProbeEngine {
   }
 
  private:
-  struct Key {
-    std::uint32_t target;
-    std::uint16_t flow_id;  // ECMP can answer differently per flow
-    std::uint8_t ttl;
-    std::uint8_t protocol;
-    std::uint8_t epoch;  // routing churn: epochs are distinct routing planes
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          ((static_cast<std::uint64_t>(k.target) << 32) |
-           (static_cast<std::uint64_t>(k.flow_id) << 16) |
-           (static_cast<std::uint64_t>(k.ttl) << 8) | k.protocol) ^
-          (static_cast<std::uint64_t>(k.epoch) * 0x9E3779B97F4A7C15ULL));
-    }
-  };
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<Key, net::ProbeReply, KeyHash> replies;
+    ReplyTable replies;
   };
 
   static constexpr std::size_t kShards = 16;
 
-  static Key key_of(const net::Probe& request) noexcept {
-    return Key{request.target.value(), request.flow_id, request.ttl,
-               static_cast<std::uint8_t>(request.protocol), request.epoch};
+  // A key already missed in the current wave, and its place among the
+  // wave's misses.
+  struct WaveMiss {
+    using Key = ReplyKey;
+
+    ReplyKey probe;
+    std::uint32_t index = 0;
+    bool used = false;
+
+    bool empty() const noexcept { return !used; }
+    ReplyKey key() const noexcept { return probe; }
+    static std::uint64_t hash(const ReplyKey& key) noexcept {
+      return key.hash();
+    }
+  };
+
+  Shard& shard_of(const ReplyKey& key) noexcept {
+    return shards_[key.hash() % kShards];
   }
 
-  Shard& shard_of(const Key& key) noexcept {
-    return shards_[KeyHash{}(key) % kShards];
-  }
-
-  std::optional<net::ProbeReply> lookup(const Key& key) {
+  std::optional<net::ProbeReply> lookup(const ReplyKey& key) {
     Shard& shard = shard_of(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.replies.find(key);
-    if (it == shard.replies.end()) return std::nullopt;
-    return it->second;
+    const ReplySlot* slot = shard.replies.find(key);
+    if (slot == nullptr) return std::nullopt;
+    return slot->reply();
   }
 
   // Two workers racing on one key probe twice and agree on whichever reply
   // lands last — identical on stable networks.
-  void publish(const Key& key, const net::ProbeReply& reply) {
+  void publish(const ReplyKey& key, const net::ProbeReply& reply) {
     if (reply.is_none() && !cache_unresponsive()) return;
     Shard& shard = shard_of(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.replies.insert_or_assign(key, reply);
+    shard.replies.insert_or_assign(ReplySlot::of(key, reply));
   }
 
   net::ProbeReply do_probe(const net::Probe& request) override {
-    const Key key = key_of(request);
+    const ReplyKey key = ReplyKey::of(request);
     std::optional<net::ProbeReply> reply = lookup(key);
     const bool cached = reply.has_value();
     if (cached) {
@@ -160,16 +157,17 @@ class CachingProbeEngine final : public ProbeEngine {
     std::vector<net::ProbeReply> replies(requests.size());
     std::vector<net::Probe> misses;
     std::vector<std::size_t> miss_request;  // request index per miss
-    std::unordered_map<Key, std::size_t, KeyHash> pending;  // key -> miss pos
+    util::FlatTable<WaveMiss, 50> pending;
     std::vector<std::pair<std::size_t, std::size_t>> duplicates;
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      const Key key = key_of(requests[i]);
-      if (const auto it = pending.find(key); it != pending.end()) {
-        duplicates.emplace_back(i, it->second);
+      const ReplyKey key = ReplyKey::of(requests[i]);
+      if (const WaveMiss* seen = pending.find(key)) {
+        duplicates.emplace_back(i, seen->index);
       } else if (const auto hit = lookup(key)) {
         replies[i] = *hit;
       } else {
-        pending.emplace(key, misses.size());
+        pending.insert_or_assign(
+            WaveMiss{key, static_cast<std::uint32_t>(misses.size()), true});
         miss_request.push_back(i);
         misses.push_back(requests[i]);
       }
@@ -180,7 +178,7 @@ class CachingProbeEngine final : public ProbeEngine {
       const std::vector<net::ProbeReply> fresh = inner_.probe_batch(misses);
       for (std::size_t j = 0; j < misses.size(); ++j) {
         replies[miss_request[j]] = fresh[j];
-        publish(key_of(misses[j]), fresh[j]);
+        publish(ReplyKey::of(misses[j]), fresh[j]);
       }
       for (const auto& [request_index, miss_index] : duplicates)
         replies[request_index] = fresh[miss_index];

@@ -1,6 +1,7 @@
 #include "sim/routing.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <stdexcept>
 
@@ -14,8 +15,11 @@ constexpr std::uint16_t kFar = 0xFFFF;
 // single_seed value of a subnet that needs a row of its own.
 constexpr std::uint32_t kOwnRow = kInvalidId;
 
+// Rows per BFS pass: one bit of a uint64_t per source.
+constexpr std::uint32_t kBlock = 64;
+
 // Publishes `fresh` into an empty slot unless a racing thread got there
-// first; either way returns the row now in the slot. Racing copies agree,
+// first; either way returns the rows now in the slot. Racing copies agree,
 // BFS being a pure function of the topology.
 const std::uint16_t* publish(std::atomic<std::uint16_t*>& slot,
                              std::unique_ptr<std::uint16_t[]> fresh) {
@@ -57,7 +61,7 @@ class RoutingTable::Plane {
 
  private:
   const std::uint16_t* router_row(std::uint32_t router) const;
-  std::unique_ptr<std::uint16_t[]> bfs(std::uint32_t source) const;
+  std::unique_ptr<std::uint16_t[]> block_bfs(std::uint32_t block) const;
 
   std::uint32_t routers_ = 0;
 
@@ -67,8 +71,8 @@ class RoutingTable::Plane {
 
   // The router <-> LAN graph in CSR form, over the LANs that link two or
   // more routers, numbered densely: per router, its LANs; per LAN, its
-  // routers. A BFS scans each LAN's routers once, so its cost stays linear
-  // in LAN size.
+  // routers. A BFS pass scans a LAN's routers at most once per level, so its
+  // cost stays linear in LAN size.
   std::vector<std::uint32_t> router_lan_begin_;  // by router, plus an end mark
   std::vector<std::uint32_t> router_lans_;
   std::vector<std::uint32_t> lan_router_begin_;  // by LAN, plus an end mark
@@ -78,8 +82,9 @@ class RoutingTable::Plane {
   // router (the subnet reads the router's row), else kOwnRow.
   std::vector<std::uint32_t> single_seed_;
 
-  // Lazily filled, owned rows: per router, and per kOwnRow subnet.
-  std::unique_ptr<std::atomic<std::uint16_t*>[]> router_rows_;
+  // Lazily filled, owned rows: per block of kBlock routers (its rows back to
+  // back, by source), and per kOwnRow subnet.
+  std::unique_ptr<std::atomic<std::uint16_t*>[]> router_blocks_;
   std::unique_ptr<std::atomic<std::uint16_t*>[]> subnet_rows_;
 };
 
@@ -136,52 +141,93 @@ RoutingTable::Plane::Plane(const Topology& topo) : topology(topo) {
   }
   router_lan_begin_.push_back(static_cast<std::uint32_t>(router_lans_.size()));
 
-  router_rows_ = std::make_unique<std::atomic<std::uint16_t*>[]>(routers_);
+  router_blocks_ = std::make_unique<std::atomic<std::uint16_t*>[]>(
+      (routers_ + kBlock - 1) / kBlock);
   subnet_rows_ = std::make_unique<std::atomic<std::uint16_t*>[]>(subnet_count);
 }
 
 RoutingTable::Plane::~Plane() {
-  for (std::uint32_t r = 0; r < routers_; ++r) delete[] router_rows_[r].load();
+  for (std::uint32_t b = 0; b * kBlock < routers_; ++b)
+    delete[] router_blocks_[b].load();
   for (SubnetId s = 0; s < single_seed_.size(); ++s)
     delete[] subnet_rows_[s].load();
 }
 
-std::unique_ptr<std::uint16_t[]> RoutingTable::Plane::bfs(
-    std::uint32_t source) const {
-  auto dist = std::make_unique_for_overwrite<std::uint16_t[]>(routers_);
-  std::fill_n(dist.get(), routers_, kFar);
-  std::vector<std::uint32_t> queue(routers_);  // every router enters once
-  // A LAN's routers are all one hop past the first of them the BFS pops.
-  std::vector<std::uint8_t> lan_done(lan_router_begin_.size() - 1, 0);
-  dist[source] = 0;
-  queue[0] = source;
-  std::size_t tail = 1;
-  for (std::size_t head = 0; head < tail; ++head) {
-    const std::uint32_t u = queue[head];
-    const std::uint16_t next = static_cast<std::uint16_t>(dist[u] + 1);
-    for (std::uint32_t i = router_lan_begin_[u]; i < router_lan_begin_[u + 1];
-         ++i) {
-      const std::uint32_t lan = router_lans_[i];
-      if (lan_done[lan]) continue;
-      lan_done[lan] = 1;
+// The rows of sources [kBlock * block, +count) in one multi-source BFS
+// (MS-BFS, Then et al., PVLDB 2014): bit i of a router's mask stands for the
+// block's source i, so one level-synchronous pass advances every source's
+// frontier at once. A LAN's mask is the OR of its frontier routers' masks,
+// less the sources that already crossed it (its routers are all one hop past
+// the first of them a source reaches), so each level scans a LAN once.
+std::unique_ptr<std::uint16_t[]> RoutingTable::Plane::block_bfs(
+    std::uint32_t block) const {
+  const std::uint32_t first = block * kBlock;
+  const std::uint32_t count = std::min(kBlock, routers_ - first);
+  auto rows = std::make_unique_for_overwrite<std::uint16_t[]>(
+      static_cast<std::size_t>(count) * routers_);
+  std::fill_n(rows.get(), static_cast<std::size_t>(count) * routers_, kFar);
+
+  const std::size_t lans = lan_router_begin_.size() - 1;
+  std::vector<std::uint64_t> seen(routers_, 0);      // sources that reached it
+  std::vector<std::uint64_t> frontier(routers_, 0);  // reached at this level
+  std::vector<std::uint64_t> next(routers_, 0);      // reached at the next
+  std::vector<std::uint64_t> lan_done(lans, 0);      // sources that crossed it
+  std::vector<std::uint64_t> lan_mask(lans, 0);      // crossing at this level
+  std::vector<std::uint32_t> frontier_list;
+  std::vector<std::uint32_t> next_list;
+  std::vector<std::uint32_t> touched;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    seen[first + i] = frontier[first + i] = bit;
+    rows[static_cast<std::size_t>(i) * routers_ + first + i] = 0;
+    frontier_list.push_back(first + i);
+  }
+
+  for (std::uint16_t level = 1; !frontier_list.empty(); ++level) {
+    for (const std::uint32_t u : frontier_list) {
+      for (std::uint32_t i = router_lan_begin_[u]; i < router_lan_begin_[u + 1];
+           ++i) {
+        const std::uint32_t lan = router_lans_[i];
+        const std::uint64_t crossing = frontier[u] & ~lan_done[lan];
+        if (crossing == 0) continue;
+        if (lan_mask[lan] == 0) touched.push_back(lan);
+        lan_mask[lan] |= crossing;
+        lan_done[lan] |= crossing;
+      }
+      frontier[u] = 0;
+    }
+    for (const std::uint32_t lan : touched) {
+      const std::uint64_t crossing = lan_mask[lan];
+      lan_mask[lan] = 0;
       for (std::uint32_t j = lan_router_begin_[lan];
            j < lan_router_begin_[lan + 1]; ++j) {
         const std::uint32_t v = lan_routers_[j];
-        if (dist[v] != kFar) continue;
-        dist[v] = next;
-        queue[tail++] = v;
+        const std::uint64_t fresh = crossing & ~seen[v];
+        if (fresh == 0) continue;
+        if (next[v] == 0) next_list.push_back(v);
+        next[v] |= fresh;
+        seen[v] |= fresh;
       }
     }
+    touched.clear();
+    for (const std::uint32_t v : next_list) {
+      for (std::uint64_t bits = next[v]; bits != 0; bits &= bits - 1)
+        rows[static_cast<std::size_t>(std::countr_zero(bits)) * routers_ + v] =
+            level;
+    }
+    frontier.swap(next);
+    frontier_list.swap(next_list);
+    next_list.clear();
   }
-  return dist;
+  return rows;
 }
 
 const std::uint16_t* RoutingTable::Plane::router_row(
     std::uint32_t router) const {
-  if (const std::uint16_t* ready =
-          router_rows_[router].load(std::memory_order_acquire))
-    return ready;
-  return publish(router_rows_[router], bfs(router));
+  std::atomic<std::uint16_t*>& slot = router_blocks_[router / kBlock];
+  const std::uint16_t* block = slot.load(std::memory_order_acquire);
+  if (block == nullptr) block = publish(slot, block_bfs(router / kBlock));
+  return block + static_cast<std::size_t>(router % kBlock) * routers_;
 }
 
 const std::uint16_t* RoutingTable::Plane::subnet_row(SubnetId target) const {
@@ -196,11 +242,13 @@ const std::uint16_t* RoutingTable::Plane::subnet_row(SubnetId target) const {
   // LANs at 1. The distance from a seed set is the minimum over its seeds.
   auto dist = std::make_unique_for_overwrite<std::uint16_t[]>(routers_);
   std::fill_n(dist.get(), routers_, kFar);
-  const auto merge = [&](std::uint32_t router, std::uint16_t offset) {
+  // A saturating add keeps kFar far (real distances stay below kFar - 1), so
+  // the loop is a branch-free minimum the compiler can vectorize.
+  const auto merge = [&](std::uint32_t router, std::uint32_t offset) {
     const std::uint16_t* row = router_row(router);
     for (std::uint32_t r = 0; r < routers_; ++r)
-      if (row[r] != kFar)
-        dist[r] = std::min(dist[r], static_cast<std::uint16_t>(row[r] + offset));
+      dist[r] = static_cast<std::uint16_t>(std::min<std::uint32_t>(
+          dist[r], std::min<std::uint32_t>(row[r] + offset, kFar)));
   };
   for (const Relay& seed_relay : relays(target)) {
     if (seed_relay.router != kInvalidId) {

@@ -9,8 +9,10 @@
 //   * per LAN, its relay interfaces in insertion order: the routers' and
 //     those of multi-homed hosts (the only hosts that can carry a path onto
 //     another LAN — by delivering onto the target from their own);
-//   * one 16-bit hop-distance row per router, filled by a BFS over routers
-//     only the first time a target needs it and published lock-free;
+//   * one 16-bit hop-distance row per router, computed 64 routers at a time
+//     by a bit-parallel multi-source BFS over routers (one uint64_t per
+//     router says which of the block's sources reached it) the first time a
+//     target needs a row of the block, and published lock-free as one block;
 //   * per target subnet, the element-wise minimum of the rows of its
 //     attached routers and, one hop further, of the routers next to its
 //     attached multi-homed hosts. That is exact because BFS distance from a

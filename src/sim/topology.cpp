@@ -58,7 +58,7 @@ InterfaceId Topology::attach(NodeId node_id, SubnetId subnet_id,
     throw std::invalid_argument(addr.to_string() +
                                 " is a network/broadcast address of " +
                                 lan.prefix.to_string());
-  if (addr_to_interface_.contains(addr))
+  if (interface_index_.find(addr.value()))
     throw std::invalid_argument(addr.to_string() + " already assigned");
   if (interface_on(node_id, subnet_id))
     throw std::invalid_argument(owner.name + " already attached to " +
@@ -73,7 +73,7 @@ InterfaceId Topology::attach(NodeId node_id, SubnetId subnet_id,
   interfaces_.push_back(iface);
   owner.interfaces.push_back(id);
   lan.interfaces.push_back(id);
-  addr_to_interface_.emplace(addr, id);
+  interface_index_.insert_or_assign(AddressSlot{addr.value(), id});
   ++version_;
   return id;
 }
@@ -102,13 +102,6 @@ void Topology::set_response_config_all(NodeId node_id,
 
 void Topology::set_per_packet_load_balancing(NodeId node, bool enabled) {
   per_packet_lb_.at(node) = enabled;
-}
-
-std::optional<InterfaceId> Topology::find_interface(
-    net::Ipv4Addr addr) const noexcept {
-  const auto it = addr_to_interface_.find(addr);
-  if (it == addr_to_interface_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::optional<InterfaceId> Topology::interface_on(

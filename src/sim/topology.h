@@ -1,6 +1,8 @@
 // Topology: the authoritative store of nodes, subnets and interfaces, plus
-// the lookup structures the forwarding plane needs (address -> interface,
-// longest-prefix-match address -> subnet, router adjacency).
+// the lookup structures the forwarding plane needs: address -> interface (a
+// flat open-addressing util::FlatTable, one lookup per simulated packet),
+// longest-prefix-match address -> subnet (a sorted PrefixIndex) and router
+// adjacency.
 //
 // Construction is incremental through the builder methods; structural
 // invariants (addresses inside the subnet prefix, no duplicates, no classic
@@ -12,7 +14,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -21,6 +22,7 @@
 #include "sim/router.h"
 #include "sim/subnet.h"
 #include "sim/types.h"
+#include "util/flat_table.h"
 
 namespace tn::sim {
 
@@ -69,7 +71,11 @@ class Topology {
   }
 
   // Exact address lookup.
-  std::optional<InterfaceId> find_interface(net::Ipv4Addr addr) const noexcept;
+  std::optional<InterfaceId> find_interface(net::Ipv4Addr addr) const noexcept {
+    const AddressSlot* slot = interface_index_.find(addr.value());
+    if (slot == nullptr) return std::nullopt;
+    return slot->iface;
+  }
 
   // Longest-prefix-match over subnet prefixes (one binary search: subnets
   // are disjoint, so the match is unique).
@@ -108,7 +114,23 @@ class Topology {
   std::vector<Interface> interfaces_;
   std::vector<bool> per_packet_lb_;
 
-  std::unordered_map<net::Ipv4Addr, InterfaceId> addr_to_interface_;
+  // One address-index entry. An empty slot holds kInvalidId, so every
+  // address, 0.0.0.0 included, can be a key.
+  struct AddressSlot {
+    using Key = std::uint32_t;
+
+    std::uint32_t addr = 0;
+    InterfaceId iface = kInvalidId;
+
+    bool empty() const noexcept { return iface == kInvalidId; }
+    Key key() const noexcept { return addr; }
+    static std::uint64_t hash(Key addr) noexcept { return addr; }
+  };
+
+  // Interface address -> InterfaceId, kept at most half full so that a miss
+  // (most exploration probes aim at unassigned addresses) ends within a few
+  // slots.
+  util::FlatTable<AddressSlot, 50> interface_index_;
   net::PrefixIndex subnet_index_;  // subnet prefix -> SubnetId
 
   std::uint64_t version_ = 0;

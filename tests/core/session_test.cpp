@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "probe/sim_engine.h"
 #include "testutil.h"
+#include "util/log.h"
 
 namespace tn::core {
 namespace {
@@ -171,6 +174,49 @@ TEST_F(SessionTest, SessionResultRendering) {
   EXPECT_NE(text.find("tracenet to"), std::string::npos);
   EXPECT_NE(text.find("192.168.1"), std::string::npos);
   EXPECT_NE(text.find("^"), std::string::npos);  // pivot marker
+}
+
+// Log lines stream subnets instead of to_string() results, so an enabled
+// line must stay byte-identical: operator<< prints exactly to_string(),
+// pivot and contra-pivot marks included.
+TEST_F(SessionTest, ObservedSubnetStreamsExactlyToString) {
+  sim::Network net(f.topo);
+  probe::SimProbeEngine wire(net, f.vantage);
+  TracenetSession session(wire);
+  const SessionResult result = session.run(f.pivot4);
+  ASSERT_FALSE(result.subnets.empty());
+  bool contra_marked = false;
+  for (const ObservedSubnet& subnet : result.subnets) {
+    std::ostringstream os;
+    os << "pivot " << subnet.pivot << " -> " << subnet << " (";
+    EXPECT_EQ(os.str(), "pivot " + subnet.pivot.to_string() + " -> " +
+                            subnet.to_string() + " (");
+    contra_marked |= subnet.to_string().find('*') != std::string::npos;
+  }
+  EXPECT_TRUE(contra_marked);
+}
+
+TEST_F(SessionTest, EnabledLogLinesPrintAddressesAsToString) {
+  sim::Network net(f.topo);
+  probe::SimProbeEngine wire(net, f.vantage);
+  TracenetSession session(wire);
+  const util::LogLevel saved = util::log_level();
+  util::set_log_level(util::LogLevel::kDebug);
+  testing::internal::CaptureStderr();
+  const SessionResult result = session.run(f.pivot4);
+  const std::string log = testing::internal::GetCapturedStderr();
+  util::set_log_level(saved);
+  EXPECT_NE(log.find("[INFO ] session: collected " +
+                     std::to_string(result.subnets.size()) +
+                     " subnets toward 192.168.1.3 with " +
+                     std::to_string(result.wire_probes) + " wire probes\n"),
+            std::string::npos)
+      << log;
+  const ObservedSubnet& s = result.subnets.back();
+  EXPECT_NE(log.find("[DEBUG] explore: pivot " + s.pivot.to_string() +
+                     " -> " + s.to_string() + " ("),
+            std::string::npos)
+      << log;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace tn::net {
 namespace {
 
@@ -9,6 +11,23 @@ TEST(Ipv4Addr, RoundTripsToString) {
   const Ipv4Addr addr(192, 168, 1, 42);
   EXPECT_EQ(addr.to_string(), "192.168.1.42");
   EXPECT_EQ(Ipv4Addr::parse("192.168.1.42"), addr);
+}
+
+// Log lines stream addresses instead of to_string() results, so an enabled
+// line must stay byte-identical: operator<< prints exactly to_string().
+TEST(Ipv4Addr, StreamsExactlyToString) {
+  for (const std::uint32_t value :
+       {0u, 1u, 0x0A000001u, 0xC0A8012Au, 0x7F000001u, 0xFFFFFFFEu,
+        0xFFFFFFFFu, 0x01020304u, 0x64400A0Bu}) {
+    const Ipv4Addr addr(value);
+    std::ostringstream os;
+    os << addr;
+    EXPECT_EQ(os.str(), addr.to_string());
+    std::ostringstream line;
+    line << "v=" << addr << " d=" << 3 << " -> " << addr.mate31();
+    EXPECT_EQ(line.str(), "v=" + addr.to_string() + " d=3 -> " +
+                              addr.mate31().to_string());
+  }
 }
 
 TEST(Ipv4Addr, ParseEdgeAddresses) {

@@ -222,6 +222,32 @@ TEST_F(ProbeEngineTest, CacheForwardsSilenceItDoesNotKeep) {
   EXPECT_EQ(cached.hits(), 1u);
 }
 
+// After clear() no entry answers, singly or in a wave, and the hit/miss
+// counters restart from zero.
+TEST_F(ProbeEngineTest, CacheClearAnswersNothingAndZeroesCounters) {
+  SimProbeEngine wire(net, f.vantage);
+  CachingProbeEngine cached(wire);
+  std::vector<net::Probe> wave;
+  for (std::uint8_t ttl = 1; ttl <= 6; ++ttl)
+    for (const net::Ipv4Addr target : {f.pivot3, f.pivot4, f.far_fringe})
+      wave.push_back(indirect_probe(target, ttl));
+  cached.probe_batch(wave);
+  cached.probe_batch(wave);
+  EXPECT_EQ(cached.hits(), wave.size());
+  cached.clear();
+  EXPECT_EQ(cached.hits(), 0u);
+  EXPECT_EQ(cached.misses(), 0u);
+  const std::uint64_t wire_before = wire.probes_issued();
+  for (const net::Probe& probe : wave) cached.probe(probe);
+  EXPECT_EQ(cached.hits(), 0u);
+  EXPECT_EQ(cached.misses(), wave.size());
+  EXPECT_EQ(wire.probes_issued() - wire_before, wave.size());
+  cached.clear();
+  cached.probe_batch(wave);
+  EXPECT_EQ(cached.hits(), 0u);
+  EXPECT_EQ(cached.misses(), wave.size());
+}
+
 // Many threads share one cache, as the campaign workers do: overlapping
 // single probes and waves (duplicates inside a wave included) must each get
 // the reply an uncached network gives, and every request is scored exactly

@@ -1,7 +1,9 @@
 #include "sim/routing.h"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,7 +210,17 @@ struct RandomTopology {
   std::size_t host_only_lans = 0;
 };
 
-RandomTopology random_topology(std::uint64_t seed) {
+// How many of each element random_topology draws. Routers come first, core
+// then island, so their NodeIds are their dense routing indices.
+struct Shape {
+  int core_routers = 24;
+  int island_routers = 4;
+  int transit_lans = 18;
+  int access_lans = 16;
+  int hosts = 40;
+};
+
+RandomTopology random_topology(std::uint64_t seed, const Shape& shape = {}) {
   util::Rng rng(seed);
   RandomTopology out;
   Topology& t = out.topo;
@@ -233,23 +245,25 @@ RandomTopology random_topology(std::uint64_t seed) {
 
   std::vector<NodeId> core;
   std::vector<NodeId> island;
-  for (int i = 0; i < 24; ++i) core.push_back(t.add_router("r"));
-  for (int i = 0; i < 4; ++i) island.push_back(t.add_router("i"));
-  for (int i = 0; i < 18; ++i) {  // transit LANs, two to four routers
+  for (int i = 0; i < shape.core_routers; ++i)
+    core.push_back(t.add_router("r"));
+  for (int i = 0; i < shape.island_routers; ++i)
+    island.push_back(t.add_router("i"));
+  for (int i = 0; i < shape.transit_lans; ++i) {  // two to four routers each
     const SubnetId s = lan();
     for (std::uint64_t k = 2 + rng.below(3); k > 0; --k) join(pick(core), s);
   }
   const SubnetId backbone = lan();  // a dozen routers on one LAN
   for (std::size_t k = 0; k < 12; ++k)
     join(core[(5 * k + seed) % core.size()], backbone);
-  for (int i = 0; i < 3; ++i) {  // the island's own transit LANs
+  for (std::size_t i = 0; i + 1 < island.size(); ++i) {  // the island's LANs
     const SubnetId s = lan();
     join(island[i], s);
     join(island[i + 1], s);
   }
 
   std::vector<SubnetId> access;  // LANs hosts live on
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < shape.access_lans; ++i) {
     const SubnetId s = lan();
     access.push_back(s);
     const std::uint64_t routers = rng.below(3);  // 0: a host-only LAN
@@ -260,7 +274,7 @@ RandomTopology random_topology(std::uint64_t seed) {
   join(island[0], island_access);
   access.push_back(island_access);
 
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < shape.hosts; ++i) {
     const NodeId h = t.add_host("h");
     join(h, access[rng.below(access.size())]);
     if (rng.chance(0.4)) {  // multi-homed: one or two more LANs of any kind
@@ -279,6 +293,72 @@ TEST(Routing, RoutesMatchFullGraphBfsOnRandomTopologiesWithMultiHomedHosts) {
     ASSERT_GT(random.host_only_lans, 0u) << "seed " << seed;
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_routes_match(random.topo, 1);
+  }
+}
+
+// The plane fills distance rows 64 routers per BFS pass. 157 routers make
+// two full blocks and a partial third; transit LANs join routers of
+// different blocks, and the island's routers are the last ones.
+TEST(Routing, RoutesMatchFullGraphBfsAcrossBlockBoundaries) {
+  Shape shape;
+  shape.core_routers = 150;
+  shape.island_routers = 7;
+  shape.transit_lans = 90;
+  shape.access_lans = 30;
+  shape.hosts = 80;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const RandomTopology random = random_topology(seed, shape);
+    const Topology& t = random.topo;
+    ASSERT_GT(random.multi_homed_hosts, 0u) << "seed " << seed;
+    std::size_t cross_block_lans = 0;
+    for (SubnetId s = 0; s < t.subnet_count(); ++s) {
+      std::vector<NodeId> blocks;
+      for (const InterfaceId iface : t.subnet(s).interfaces)
+        if (!t.node(t.interface(iface).node).is_host)
+          blocks.push_back(t.interface(iface).node / 64);
+      if (std::adjacent_find(blocks.begin(), blocks.end(),
+                             std::not_equal_to<>()) != blocks.end())
+        ++cross_block_lans;
+    }
+    ASSERT_GT(cross_block_lans, 10u) << "seed " << seed;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_routes_match(t, 1);
+  }
+}
+
+// A chain of routers one /31 apart, with a host on a stub LAN at each end:
+// the depth of a chain is the number of BFS levels a block's pass runs.
+Topology router_chain(std::uint32_t routers) {
+  Topology t;
+  const NodeId head_host = t.add_host("head");
+  std::vector<NodeId> chain;
+  for (std::uint32_t i = 0; i < routers; ++i)
+    chain.push_back(t.add_router("r"));
+  const NodeId tail_host = t.add_host("tail");
+  const SubnetId head = t.add_subnet(pfx("10.2.0.0/30"));
+  const SubnetId tail = t.add_subnet(pfx("10.2.0.4/30"));
+  t.attach(head_host, head, ip("10.2.0.1"));
+  t.attach(chain.front(), head, ip("10.2.0.2"));
+  t.attach(chain.back(), tail, ip("10.2.0.5"));
+  t.attach(tail_host, tail, ip("10.2.0.6"));
+  for (std::uint32_t i = 0; i + 1 < routers; ++i) {
+    const std::uint32_t base = 0x0A010000u + 2 * i;
+    const SubnetId link =
+        t.add_subnet(net::Prefix::covering(net::Ipv4Addr(base), 31));
+    t.attach(chain[i], link, net::Ipv4Addr(base));
+    t.attach(chain[i + 1], link, net::Ipv4Addr(base + 1));
+  }
+  return t;
+}
+
+TEST(Routing, RoutesMatchFullGraphBfsOnRouterChains) {
+  for (const std::uint32_t routers : {1u, 63u, 64u, 65u, 129u}) {
+    SCOPED_TRACE("chain of " + std::to_string(routers));
+    const Topology t = router_chain(routers);
+    const RoutingTable routes(t);
+    // End to end: every router of the chain, then the far stub LAN.
+    EXPECT_EQ(routes.distance(0, 1), static_cast<int>(routers));
+    expect_routes_match(routes, t, 1);
   }
 }
 
