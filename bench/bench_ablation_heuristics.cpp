@@ -37,16 +37,17 @@ struct DenseBlock {
   std::vector<net::Ipv4Addr> targets;
 
   DenseBlock() {
-    vantage = topo.add_host("V");
-    const auto g = topo.add_router("G");
-    const auto r1 = topo.add_router("R1");
-    r2a = topo.add_router("R2a");
-    r2b = topo.add_router("R2b");
+    sim::TopologyBuilder builder;
+    vantage = builder.add_host("V");
+    const auto g = builder.add_router("G");
+    const auto r1 = builder.add_router("R1");
+    r2a = builder.add_router("R2a");
+    r2b = builder.add_router("R2b");
     auto link = [&](sim::NodeId a, sim::NodeId b, const char* prefix) {
-      const auto subnet = topo.add_subnet(pfx(prefix));
-      const net::Prefix p = topo.subnet(subnet).prefix;
-      topo.attach(a, subnet, p.at(1));
-      topo.attach(b, subnet, p.at(2));
+      const auto subnet = builder.add_subnet(pfx(prefix));
+      const net::Prefix p = builder.subnet(subnet).prefix;
+      builder.attach(a, subnet, p.at(1));
+      builder.attach(b, subnet, p.at(2));
     };
     link(vantage, g, "10.0.0.0/30");
     link(g, r1, "10.0.1.0/30");
@@ -57,18 +58,18 @@ struct DenseBlock {
     for (std::uint32_t i = 0; i < 16; ++i) {
       const net::Prefix prefix =
           net::Prefix::covering(net::Ipv4Addr(0xC0A80000u + 8 * i), 29);
-      const auto subnet = topo.add_subnet(prefix);
+      const auto subnet = builder.add_subnet(prefix);
       const bool odd = i % 2 == 1;
       const sim::NodeId ingress = odd ? r2b : r2a;
-      const auto ingress_iface = topo.attach(ingress, subnet, prefix.at(1));
-      if (odd) topo.interface_mut(ingress_iface).responsive = false;
+      const auto ingress_iface = builder.attach(ingress, subnet, prefix.at(1));
+      if (odd) builder.interface_mut(ingress_iface).responsive = false;
       topo::GroundTruthSubnet truth;
       truth.prefix = prefix;
       truth.subnet = subnet;
       truth.assigned.push_back(prefix.at(1));
       for (std::uint64_t m = 2; m <= 5; ++m) {
-        const auto host = topo.add_host("h" + prefix.at(m).to_string());
-        topo.attach(host, subnet, prefix.at(m));
+        const auto host = builder.add_host("h" + prefix.at(m).to_string());
+        builder.attach(host, subnet, prefix.at(m));
         truth.assigned.push_back(prefix.at(m));
       }
       truth.suggested_target = prefix.at(3);
@@ -84,11 +85,11 @@ struct DenseBlock {
     for (std::uint32_t k = 0; k < 8; ++k) {
       const net::Prefix lan =
           net::Prefix::covering(net::Ipv4Addr(0xC0A80100u + 8 * k), 30);
-      const auto lan_id = topo.add_subnet(lan);
-      const auto dark = topo.attach(r2a, lan_id, lan.at(1));
-      topo.interface_mut(dark).responsive = false;
-      const auto member = topo.add_host("m" + lan.at(2).to_string());
-      topo.attach(member, lan_id, lan.at(2));
+      const auto lan_id = builder.add_subnet(lan);
+      const auto dark = builder.attach(r2a, lan_id, lan.at(1));
+      builder.interface_mut(dark).responsive = false;
+      const auto member = builder.add_host("m" + lan.at(2).to_string());
+      builder.attach(member, lan_id, lan.at(2));
       topo::GroundTruthSubnet truth;
       truth.prefix = lan;
       truth.subnet = lan_id;
@@ -99,10 +100,11 @@ struct DenseBlock {
 
       const net::Prefix stub_link =
           net::Prefix::covering(net::Ipv4Addr(0xC0A80104u + 8 * k), 31);
-      const auto stub_id = topo.add_subnet(stub_link);
-      const auto stub = topo.add_router("stub" + stub_link.at(0).to_string());
-      topo.attach(stub, stub_id, stub_link.at(0));   // hop 4 close fringe
-      topo.attach(r2a, stub_id, stub_link.at(1));    // its mate on the ingress
+      const auto stub_id = builder.add_subnet(stub_link);
+      const auto stub =
+          builder.add_router("stub" + stub_link.at(0).to_string());
+      builder.attach(stub, stub_id, stub_link.at(0));  // hop 4 close fringe
+      builder.attach(r2a, stub_id, stub_link.at(1));   // mate on the ingress
       topo::GroundTruthSubnet stub_truth;
       stub_truth.prefix = stub_link;
       stub_truth.subnet = stub_id;
@@ -110,6 +112,7 @@ struct DenseBlock {
       stub_truth.suggested_target = stub_link.at(0);
       registry.add(std::move(stub_truth));
     }
+    topo = std::move(builder).build();
   }
 };
 
@@ -123,11 +126,13 @@ struct Outcome {
 Outcome run_variant(void (*tweak)(core::SessionConfig&), double flakiness) {
   DenseBlock block;
   if (flakiness > 0.0) {
-    for (sim::InterfaceId i = 0; i < block.topo.interface_count(); ++i) {
-      sim::Interface& iface = block.topo.interface_mut(i);
+    sim::TopologyBuilder flaky(std::move(block.topo));
+    for (sim::InterfaceId i = 0; i < flaky.interface_count(); ++i) {
+      sim::Interface& iface = flaky.interface_mut(i);
       if (iface.addr.shares_prefix(ip("192.168.0.0"), 16))
         iface.flakiness = flakiness;
     }
+    block.topo = std::move(flaky).build();
   }
   sim::Network net(block.topo);
   probe::SimProbeEngine wire(net, block.vantage);

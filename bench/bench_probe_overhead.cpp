@@ -29,15 +29,16 @@ struct Scenario {
   net::Prefix lan_prefix;
 
   explicit Scenario(int member_count, int lan_prefix_length = 28) {
-    vantage = topo.add_host("V");
-    const auto g = topo.add_router("G");
-    const auto r1 = topo.add_router("R1");
-    ingress = topo.add_router("R2");
+    sim::TopologyBuilder builder;
+    vantage = builder.add_host("V");
+    const auto g = builder.add_router("G");
+    const auto r1 = builder.add_router("R1");
+    ingress = builder.add_router("R2");
     auto link = [&](sim::NodeId a, sim::NodeId b, const char* prefix) {
-      const auto subnet = topo.add_subnet(pfx(prefix));
-      const net::Prefix p = topo.subnet(subnet).prefix;
-      topo.attach(a, subnet, p.at(1));
-      topo.attach(b, subnet, p.at(2));
+      const auto subnet = builder.add_subnet(pfx(prefix));
+      const net::Prefix p = builder.subnet(subnet).prefix;
+      builder.attach(a, subnet, p.at(1));
+      builder.attach(b, subnet, p.at(2));
     };
     link(vantage, g, "10.0.0.0/30");
     link(g, r1, "10.0.1.0/30");
@@ -46,20 +47,22 @@ struct Scenario {
     lan_prefix = pfx(lan_prefix_length == 28 ? "192.168.0.0/28"
                      : lan_prefix_length == 31 ? "192.168.0.0/31"
                                                : "192.168.0.0/29");
-    const auto lan = topo.add_subnet(lan_prefix);
+    const auto lan = builder.add_subnet(lan_prefix);
     if (lan_prefix_length == 31) {
-      topo.attach(ingress, lan, lan_prefix.at(0));
-      const auto member = topo.add_host("m");
-      topo.attach(member, lan, lan_prefix.at(1));
+      builder.attach(ingress, lan, lan_prefix.at(0));
+      const auto member = builder.add_host("m");
+      builder.attach(member, lan, lan_prefix.at(1));
       target = lan_prefix.at(1);
-      return;
+    } else {
+      builder.attach(ingress, lan, lan_prefix.at(1));  // contra-pivot
+      for (int m = 0; m < member_count; ++m) {
+        const auto member = builder.add_host("m" + std::to_string(m));
+        builder.attach(member, lan,
+                    lan_prefix.at(static_cast<std::uint64_t>(2 + m)));
+      }
+      target = lan_prefix.at(2);
     }
-    topo.attach(ingress, lan, lan_prefix.at(1));  // contra-pivot
-    for (int m = 0; m < member_count; ++m) {
-      const auto member = topo.add_host("m" + std::to_string(m));
-      topo.attach(member, lan, lan_prefix.at(static_cast<std::uint64_t>(2 + m)));
-    }
-    target = lan_prefix.at(2);
+    topo = std::move(builder).build();
   }
 };
 
@@ -140,10 +143,12 @@ int main() {
   util::Table retry_table({"retries", "observed prefix", "members"});
   for (int attempts : {1, 2, 3}) {
     Scenario lan(10);
-    for (sim::InterfaceId i = 0; i < lan.topo.interface_count(); ++i) {
-      sim::Interface& iface = lan.topo.interface_mut(i);
+    sim::TopologyBuilder flaky(std::move(lan.topo));
+    for (sim::InterfaceId i = 0; i < flaky.interface_count(); ++i) {
+      sim::Interface& iface = flaky.interface_mut(i);
       if (lan.lan_prefix.contains(iface.addr)) iface.flakiness = 0.2;
     }
+    lan.topo = std::move(flaky).build();
     sim::Network net(lan.topo);
     probe::SimProbeEngine wire(net, lan.vantage);
     core::SessionConfig config;

@@ -22,19 +22,20 @@ struct Fig2 {
   sim::NodeId r[10];
   net::Ipv4Addr d_addr, c_addr;
 
-  void p2p(sim::NodeId x, sim::NodeId y, const char* prefix) {
-    const auto subnet = topo.add_subnet(pfx(prefix));
-    const net::Prefix p = topo.subnet(subnet).prefix;
-    topo.attach(x, subnet, p.at(1));
-    topo.attach(y, subnet, p.at(2));
-  }
-
   Fig2() {
-    a = topo.add_host("A");
-    b = topo.add_host("B");
-    c = topo.add_host("C");
-    d = topo.add_host("D");
-    for (int i = 1; i <= 9; ++i) r[i] = topo.add_router("R" + std::to_string(i));
+    sim::TopologyBuilder builder;
+    const auto p2p = [&](sim::NodeId x, sim::NodeId y, const char* prefix) {
+      const auto subnet = builder.add_subnet(pfx(prefix));
+      const net::Prefix p = builder.subnet(subnet).prefix;
+      builder.attach(x, subnet, p.at(1));
+      builder.attach(y, subnet, p.at(2));
+    };
+    a = builder.add_host("A");
+    b = builder.add_host("B");
+    c = builder.add_host("C");
+    d = builder.add_host("D");
+    for (int i = 1; i <= 9; ++i)
+      r[i] = builder.add_router("R" + std::to_string(i));
     p2p(a, r[1], "10.1.0.0/30");
     p2p(a, r[3], "10.1.1.0/30");
     p2p(b, r[6], "10.1.2.0/30");
@@ -47,11 +48,12 @@ struct Fig2 {
     d_addr = ip("10.1.3.1");
     c_addr = ip("10.1.4.1");
 
-    const auto shared = topo.add_subnet(pfx("172.16.0.0/29"));
-    topo.attach(r[2], shared, ip("172.16.0.1"));
-    topo.attach(r[4], shared, ip("172.16.0.2"));
-    topo.attach(r[5], shared, ip("172.16.0.3"));
-    topo.attach(r[8], shared, ip("172.16.0.4"));
+    const auto shared = builder.add_subnet(pfx("172.16.0.0/29"));
+    builder.attach(r[2], shared, ip("172.16.0.1"));
+    builder.attach(r[4], shared, ip("172.16.0.2"));
+    builder.attach(r[5], shared, ip("172.16.0.3"));
+    builder.attach(r[8], shared, ip("172.16.0.4"));
+    topo = std::move(builder).build();
   }
 };
 

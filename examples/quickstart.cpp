@@ -4,10 +4,11 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 //
-// The tour: a Topology holds routers/hosts/subnets; a Network forwards
-// probes over it with real TTL semantics; a ProbeEngine is tracenet's only
-// view of the world; TracenetSession runs trace collection + subnet
-// positioning + subnet exploration toward a destination.
+// The tour: a TopologyBuilder assembles routers/hosts/subnets and freezes
+// them into an immutable Topology; a Network forwards probes over it with
+// real TTL semantics; a ProbeEngine is tracenet's only view of the world;
+// TracenetSession runs trace collection + subnet positioning + subnet
+// exploration toward a destination.
 #include <cstdio>
 
 #include "core/session.h"
@@ -25,33 +26,35 @@ net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
 
 int main() {
   // 1. A topology: vantage host -> gateway -> core -> a /28 office LAN.
-  sim::Topology topo;
-  const auto vantage = topo.add_host("vantage");
-  const auto gateway = topo.add_router("gateway");
-  const auto core = topo.add_router("core");
-  const auto lan_router = topo.add_router("office-gw");
+  sim::TopologyBuilder builder;
+  const auto vantage = builder.add_host("vantage");
+  const auto gateway = builder.add_router("gateway");
+  const auto core = builder.add_router("core");
+  const auto lan_router = builder.add_router("office-gw");
 
-  const auto access = topo.add_subnet(pfx("10.0.0.0/30"));
-  topo.attach(vantage, access, ip("10.0.0.1"));
-  topo.attach(gateway, access, ip("10.0.0.2"));
+  const auto access = builder.add_subnet(pfx("10.0.0.0/30"));
+  builder.attach(vantage, access, ip("10.0.0.1"));
+  builder.attach(gateway, access, ip("10.0.0.2"));
 
-  const auto uplink = topo.add_subnet(pfx("10.0.1.0/31"));
-  topo.attach(gateway, uplink, ip("10.0.1.0"));
-  topo.attach(core, uplink, ip("10.0.1.1"));
+  const auto uplink = builder.add_subnet(pfx("10.0.1.0/31"));
+  builder.attach(gateway, uplink, ip("10.0.1.0"));
+  builder.attach(core, uplink, ip("10.0.1.1"));
 
-  const auto office_uplink = topo.add_subnet(pfx("10.0.2.0/30"));
-  topo.attach(core, office_uplink, ip("10.0.2.1"));
-  topo.attach(lan_router, office_uplink, ip("10.0.2.2"));
+  const auto office_uplink = builder.add_subnet(pfx("10.0.2.0/30"));
+  builder.attach(core, office_uplink, ip("10.0.2.1"));
+  builder.attach(lan_router, office_uplink, ip("10.0.2.2"));
 
-  const auto office = topo.add_subnet(pfx("192.0.2.0/28"));
-  topo.attach(lan_router, office, ip("192.0.2.1"));
+  const auto office = builder.add_subnet(pfx("192.0.2.0/28"));
+  builder.attach(lan_router, office, ip("192.0.2.1"));
   for (int host = 0; host < 9; ++host) {
-    const auto node = topo.add_host("pc" + std::to_string(host));
-    topo.attach(node, office, ip(("192.0.2." + std::to_string(2 + host)).c_str()));
+    const auto node = builder.add_host("pc" + std::to_string(host));
+    builder.attach(node, office,
+                   ip(("192.0.2." + std::to_string(2 + host)).c_str()));
   }
 
-  // 2. A network (forwarding + ICMP semantics) and a probe engine bound to
-  //    the vantage host.
+  // 2. Freeze the topology, then a network over it (forwarding + ICMP
+  //    semantics) and a probe engine bound to the vantage host.
+  const sim::Topology topo = std::move(builder).build();
   sim::Network network(topo);
   probe::SimProbeEngine engine(network, vantage);
 

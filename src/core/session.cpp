@@ -38,7 +38,6 @@ TracenetSession::TracenetSession(probe::ProbeEngine& wire_engine,
   top_ = retry_.get();
   if (config_.use_probe_cache) {
     cache_ = std::make_unique<probe::CachingProbeEngine>(*retry_);
-    cache_->set_cache_unresponsive(config_.cache_unresponsive);
     top_ = cache_.get();
   }
 }

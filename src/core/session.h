@@ -44,11 +44,6 @@ struct SessionConfig {
   // black-holed address from doubling the probe bill of every trace.
   std::uint64_t retry_budget_per_target = 0;
   bool use_probe_cache = true;     // merged-heuristic probe sharing (§3.5)
-  // Whether the per-session cache memoizes silence. Default on (silence is
-  // stable on clean networks and the cache is cleared per run anyway); turn
-  // off under heavy fault injection so one lost probe cannot shadow an
-  // address for a whole session.
-  bool cache_unresponsive = true;
   // In-flight probe window for trace collection and subnet exploration
   // (overrides the trace/explore fields): waves of up to this many probes
   // overlap their round trips through ProbeEngine::probe_batch, cutting a

@@ -28,7 +28,8 @@ topo::ReferenceTopology build_reference(const ScenarioCell& cell) {
 
 // Applies the cell's programmatic knobs. Mutations key off stable structural
 // properties (node/subnet creation order), never off names, so they commute
-// with nothing and depend on nothing but the pinned reference build.
+// with nothing and depend on nothing but the pinned reference build. A
+// topology mutation reopens the snapshot by move and freezes the variant.
 void apply_mutation(const ScenarioCell& cell, topo::ReferenceTopology& ref,
                     sim::FaultSpec& spec, sim::NetworkConfig& net_config) {
   switch (cell.mutation) {
@@ -46,11 +47,14 @@ void apply_mutation(const ScenarioCell& cell, topo::ReferenceTopology& ref,
       }
       break;
     }
-    case CellMutation::kPerPacketLb:
-      for (sim::NodeId id = 0; id < ref.topo.node_count(); ++id)
-        if (!ref.topo.node(id).is_host)
-          ref.topo.set_per_packet_load_balancing(id, true);
+    case CellMutation::kPerPacketLb: {
+      sim::TopologyBuilder topo(std::move(ref.topo));
+      for (sim::NodeId id = 0; id < topo.node_count(); ++id)
+        if (!topo.node(id).is_host)
+          topo.set_per_packet_load_balancing(id, true);
+      ref.topo = std::move(topo).build();
       break;
+    }
     case CellMutation::kPerDestAddrEcmp:
       net_config.ecmp_hash = sim::EcmpHashMode::kPerDestAddr;
       break;
@@ -58,13 +62,15 @@ void apply_mutation(const ScenarioCell& cell, topo::ReferenceTopology& ref,
       if (cell.mutation_arg < 1)
         throw std::runtime_error("scorecard: " + cell.scenario +
                                  ": firewall density wants arg >= 1");
+      sim::TopologyBuilder topo(std::move(ref.topo));
       std::size_t ordinal = 0;
       for (const topo::GroundTruthSubnet& truth : ref.registry.all()) {
         if (ordinal++ % static_cast<std::size_t>(cell.mutation_arg) != 0)
           continue;
-        if (const auto id = ref.topo.find_subnet_exact(truth.prefix))
-          ref.topo.subnet_mut(*id).firewalled = true;
+        if (const auto id = topo.find_subnet_exact(truth.prefix))
+          topo.subnet_mut(*id).firewalled = true;
       }
+      ref.topo = std::move(topo).build();
       break;
     }
   }

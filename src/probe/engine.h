@@ -91,9 +91,6 @@ class ProbeEngine {
   std::uint64_t probes_issued() const noexcept {
     return issued_.load(std::memory_order_relaxed);
   }
-  void reset_probes_issued() noexcept {
-    issued_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   virtual net::ProbeReply do_probe(const net::Probe& request) = 0;

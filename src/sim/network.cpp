@@ -383,15 +383,12 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
   int router_depth = 0;
   NodeId current = origin;
   InterfaceId incoming = kInvalidId;
-  // The routes toward the target, resolved once the walk first needs them;
-  // only a step hook can change the topology mid-walk, so it re-resolves.
+  // The routes toward the target, resolved once, when the walk first needs
+  // them.
   std::optional<RoutingTable::Routes> routes;
 
   for (int step = 0; step < config_.max_hops; ++step) {
-    if (step_hook_) {
-      step_hook_(current, probe);
-      routes.reset();
-    }
+    if (step_hook_) step_hook_(current, probe);
 
     // Node-override forward faults are charged where the packet actually
     // travels: entering an overridden node may black-hole or drop it.

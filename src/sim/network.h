@@ -112,6 +112,8 @@ class Network {
   // a Network costs nothing per subnet until it forwards.
   explicit Network(const Topology& topology, NetworkConfig config = {})
       : topology_(topology), routing_(topology), config_(config) {}
+  // A builder cannot be routed: freeze it first.
+  explicit Network(const TopologyBuilder&, NetworkConfig = {}) = delete;
 
   // Injects `probe` from `origin` (a host or router in the topology) and
   // returns the reply the origin would eventually observe (kNone = silence).
@@ -175,10 +177,10 @@ class Network {
   const FaultSpec& faults() const noexcept { return faults_; }
   bool faults_enabled() const noexcept { return faults_enabled_; }
 
-  // Test hook: invoked before each forwarding decision; lets tests flip links
-  // or configs mid-walk to create §3.7 route changes. Cleared with {}.
-  // Serial-only: install before probing and do not combine with concurrent
-  // send_probe callers.
+  // Test and bench hook: invoked before each forwarding decision with the
+  // node about to decide; it observes the walk and cannot change it (the
+  // topology is frozen). Cleared with {}. Serial-only: install before
+  // probing and do not combine with concurrent send_probe callers.
   using StepHook = std::function<void(NodeId current, const net::Probe&)>;
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
 

@@ -1,6 +1,7 @@
 #include "sim/routing.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <span>
 #include <stdexcept>
@@ -272,14 +273,8 @@ RoutingTable::RoutingTable(const Topology& topology,
 RoutingTable::~RoutingTable() = default;
 
 const RoutingTable::Plane& RoutingTable::plane() const {
-  const std::uint64_t version = topology_.version();
-  if (plane_version_.load(std::memory_order_acquire) != version) {
-    const std::lock_guard<std::mutex> lock(rebuild_mutex_);
-    if (plane_version_.load(std::memory_order_relaxed) != version) {
-      plane_ = std::make_unique<Plane>(topology_);
-      plane_version_.store(version, std::memory_order_release);
-    }
-  }
+  std::call_once(plane_built_,
+                 [this] { plane_ = std::make_unique<Plane>(topology_); });
   return *plane_;
 }
 

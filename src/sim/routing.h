@@ -1,7 +1,7 @@
 // Hop-count shortest-path routing over the router graph.
 //
 // Destinations resolve to subnets. All queries read one flat routing plane,
-// built on the first query of each topology version:
+// which a table builds once, on its first query:
 //
 //   * dense indices for the routers (hosts never forward transit traffic);
 //   * the router <-> LAN graph in CSR form: per router, the LANs it shares
@@ -22,16 +22,15 @@
 // Host distances resolve from the relay interfaces of the host's LANs.
 // Router distances, host distances and next-hop sets are bit-identical to a
 // full-graph BFS from the target subnet; see the Routing.RoutesMatchFullGraphBfs*
-// tests. Every structural mutation bumps the topology version, which drops
-// the plane, so tests can fail links mid-experiment and observe re-converged
-// routes (§3.7 routing updates).
+// tests. A table routes over a frozen Topology, never a TopologyBuilder, so
+// its plane never goes stale; a §3.7 routing update is a new snapshot with a
+// table of its own.
 //
 // Next-hop sets are enumerated per (node, target) query in deterministic
 // interface-insertion order, which per-flow ECMP hashing and per-packet
 // round-robin index into.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,10 +45,12 @@ class RoutingTable {
 
  public:
   // The second argument, once the capacity of a per-subnet LRU, is unused:
-  // every distance row the plane computes stays until the topology version
-  // changes. It remains so that callers passing a capacity still build.
+  // every distance row the plane computes stays as long as the table. It
+  // remains so that callers passing a capacity still build.
   explicit RoutingTable(const Topology& topology,
                         std::size_t cache_capacity = 128);
+  // A builder cannot be routed: freeze it first.
+  explicit RoutingTable(const TopologyBuilder&, std::size_t = 128) = delete;
   ~RoutingTable();
 
   RoutingTable(const RoutingTable&) = delete;
@@ -63,8 +64,8 @@ class RoutingTable {
 
   static constexpr int kUnreachable = -1;
 
-  // The routes toward one target subnet: a view into the plane, valid until
-  // the topology changes. Reads are lock-free and allocate nothing.
+  // The routes toward one target subnet: a view into the plane, valid as
+  // long as the table. Reads are lock-free and allocate nothing.
   class Routes {
    public:
     // Router-hop distance from `from`; 0 when attached.
@@ -94,7 +95,7 @@ class RoutingTable {
   };
 
   // The routes toward `target`, computing its distance row on first use.
-  // Thread-safe as long as the topology is not mutated concurrently.
+  // Thread-safe.
   Routes routes_to(SubnetId target) const;
 
   // Router-hop distance from `from` to `target` subnet; 0 when attached.
@@ -115,15 +116,12 @@ class RoutingTable {
   InterfaceId shortest_path_egress(NodeId from, SubnetId toward_subnet) const;
 
  private:
-  // The plane of the current topology version, built on first use. Readers
-  // that find it current take no lock; a version change rebuilds it under
-  // `rebuild_mutex_`, which the no-concurrent-mutation contract makes safe.
+  // The plane, built by the first query of any thread.
   const Plane& plane() const;
 
   const Topology& topology_;
-  mutable std::mutex rebuild_mutex_;
+  mutable std::once_flag plane_built_;
   mutable std::unique_ptr<Plane> plane_;
-  mutable std::atomic<std::uint64_t> plane_version_{~0ULL};
 };
 
 }  // namespace tn::sim

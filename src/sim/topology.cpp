@@ -15,24 +15,23 @@ std::string to_string(ResponsePolicy policy) {
   return "?";
 }
 
-NodeId Topology::add_router(std::string name) {
+NodeId TopologyBuilder::add_router(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   Node node;
   node.id = id;
   node.name = std::move(name);
   nodes_.push_back(std::move(node));
   per_packet_lb_.push_back(false);
-  ++version_;
   return id;
 }
 
-NodeId Topology::add_host(std::string name) {
+NodeId TopologyBuilder::add_host(std::string name) {
   const NodeId id = add_router(std::move(name));
   nodes_[id].is_host = true;
   return id;
 }
 
-SubnetId Topology::add_subnet(net::Prefix prefix) {
+SubnetId TopologyBuilder::add_subnet(net::Prefix prefix) {
   // Reject overlap with any existing subnet: either could contain the other.
   const SubnetId id = static_cast<SubnetId>(subnets_.size());
   if (const auto existing = subnet_index_.insert(prefix, id))
@@ -43,12 +42,11 @@ SubnetId Topology::add_subnet(net::Prefix prefix) {
   subnet.id = id;
   subnet.prefix = prefix;
   subnets_.push_back(std::move(subnet));
-  ++version_;
   return id;
 }
 
-InterfaceId Topology::attach(NodeId node_id, SubnetId subnet_id,
-                             net::Ipv4Addr addr) {
+InterfaceId TopologyBuilder::attach(NodeId node_id, SubnetId subnet_id,
+                                    net::Ipv4Addr addr) {
   Node& owner = nodes_.at(node_id);
   Subnet& lan = subnets_.at(subnet_id);
   if (!lan.prefix.contains(addr))
@@ -74,12 +72,12 @@ InterfaceId Topology::attach(NodeId node_id, SubnetId subnet_id,
   owner.interfaces.push_back(id);
   lan.interfaces.push_back(id);
   interface_index_.insert_or_assign(AddressSlot{addr.value(), id});
-  ++version_;
   return id;
 }
 
-void Topology::set_response_config(NodeId node_id, net::ProbeProtocol protocol,
-                                   const ResponseConfig& config) {
+void TopologyBuilder::set_response_config(NodeId node_id,
+                                          net::ProbeProtocol protocol,
+                                          const ResponseConfig& config) {
   if (config.indirect == ResponsePolicy::kProbed)
     throw std::invalid_argument(
         "a router cannot use the probed-interface policy for indirect probes");
@@ -93,14 +91,15 @@ void Topology::set_response_config(NodeId node_id, net::ProbeProtocol protocol,
   nodes_.at(node_id).config_for(protocol) = config;
 }
 
-void Topology::set_response_config_all(NodeId node_id,
-                                       const ResponseConfig& config) {
+void TopologyBuilder::set_response_config_all(NodeId node_id,
+                                              const ResponseConfig& config) {
   set_response_config(node_id, net::ProbeProtocol::kIcmp, config);
   set_response_config(node_id, net::ProbeProtocol::kUdp, config);
   set_response_config(node_id, net::ProbeProtocol::kTcp, config);
 }
 
-void Topology::set_per_packet_load_balancing(NodeId node, bool enabled) {
+void TopologyBuilder::set_per_packet_load_balancing(NodeId node,
+                                                    bool enabled) {
   per_packet_lb_.at(node) = enabled;
 }
 

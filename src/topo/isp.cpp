@@ -18,6 +18,7 @@ class InternetBuilder {
     build_transit_fabric();
     for (std::size_t i = 0; i < profiles.size(); ++i)
       add_isp(profiles[i], i);
+    out_.topo = std::move(topo_).build();
     return std::move(out_);
   }
 
@@ -26,7 +27,7 @@ class InternetBuilder {
 
   void build_transit_fabric() {
     for (int i = 0; i < kTransitRouters; ++i)
-      transit_.push_back(out_.topo.add_router("transit" + std::to_string(i)));
+      transit_.push_back(topo_.add_router("transit" + std::to_string(i)));
     for (int i = 0; i < kTransitRouters; ++i)
       link_infra(transit_[i], transit_[(i + 1) % kTransitRouters]);
 
@@ -35,21 +36,21 @@ class InternetBuilder {
     const char* names[] = {"Rice", "UMass", "UOregon"};
     const int spots[] = {0, 2, 4};
     for (int v = 0; v < 3; ++v) {
-      const sim::NodeId host = out_.topo.add_host(names[v]);
-      const auto access = out_.topo.add_subnet(infra_pool_.allocate(30));
-      const net::Prefix prefix = out_.topo.subnet(access).prefix;
-      out_.topo.attach(host, access, prefix.at(1));
-      out_.topo.attach(transit_[spots[v]], access, prefix.at(2));
+      const sim::NodeId host = topo_.add_host(names[v]);
+      const auto access = topo_.add_subnet(infra_pool_.allocate(30));
+      const net::Prefix prefix = topo_.subnet(access).prefix;
+      topo_.attach(host, access, prefix.at(1));
+      topo_.attach(transit_[spots[v]], access, prefix.at(2));
       out_.vantages.push_back(host);
       out_.vantage_names.push_back(names[v]);
     }
   }
 
   void link_infra(sim::NodeId a, sim::NodeId b) {
-    const auto subnet = out_.topo.add_subnet(infra_pool_.allocate(31));
-    const net::Prefix prefix = out_.topo.subnet(subnet).prefix;
-    out_.topo.attach(a, subnet, prefix.at(0));
-    out_.topo.attach(b, subnet, prefix.at(1));
+    const auto subnet = topo_.add_subnet(infra_pool_.allocate(31));
+    const net::Prefix prefix = topo_.subnet(subnet).prefix;
+    topo_.attach(a, subnet, prefix.at(0));
+    topo_.attach(b, subnet, prefix.at(1));
   }
 
   // --- One ISP ---------------------------------------------------------------
@@ -69,7 +70,7 @@ class InternetBuilder {
     // Core ring.
     for (int i = 0; i < profile.core_routers; ++i) {
       const sim::NodeId core =
-          out_.topo.add_router(profile.name + "-core" + std::to_string(i));
+          topo_.add_router(profile.name + "-core" + std::to_string(i));
       state.cores.push_back(core);
       state.routers.push_back(core);
     }
@@ -78,7 +79,7 @@ class InternetBuilder {
                state.cores[(i + 1) % state.cores.size()]);
     for (const sim::NodeId core : state.cores)
       if (rng_.chance(profile.per_packet_lb_fraction))
-        out_.topo.set_per_packet_load_balancing(core, true);
+        topo_.set_per_packet_load_balancing(core, true);
 
     // Borders: each core selected as border connects to a *different*
     // transit router, so each vantage point enters through another door.
@@ -107,8 +108,8 @@ class InternetBuilder {
     configure_probe_behaviour(profile, state);
 
     // Response flakiness on every interface inside the ISP's block.
-    for (sim::InterfaceId i = 0; i < out_.topo.interface_count(); ++i) {
-      sim::Interface& iface = out_.topo.interface_mut(i);
+    for (sim::InterfaceId i = 0; i < topo_.interface_count(); ++i) {
+      sim::Interface& iface = topo_.interface_mut(i);
       if (profile.block.contains(iface.addr)) iface.flakiness = profile.response_flakiness;
     }
 
@@ -119,9 +120,9 @@ class InternetBuilder {
   // links are the unpublished backbone; they still show up in traces).
   void link_isp(IspState& state, sim::NodeId a, sim::NodeId b) {
     const net::Prefix prefix = state.pool.allocate(31);
-    const auto subnet = out_.topo.add_subnet(prefix);
-    out_.topo.attach(a, subnet, prefix.at(0));
-    out_.topo.attach(b, subnet, prefix.at(1));
+    const auto subnet = topo_.add_subnet(prefix);
+    topo_.attach(a, subnet, prefix.at(0));
+    topo_.attach(b, subnet, prefix.at(1));
   }
 
   sim::NodeId random_attach_point(IspState& state) {
@@ -131,7 +132,7 @@ class InternetBuilder {
   void add_p2p(const IspProfile& profile, IspState& state,
                SimulatedInternet::Isp& isp, int length) {
     const net::Prefix prefix = state.pool.allocate(length);
-    const auto subnet = out_.topo.add_subnet(prefix);
+    const auto subnet = topo_.add_subnet(prefix);
     const sim::NodeId parent = random_attach_point(state);
 
     // Mesh chord: connect two existing routers instead of growing a chain.
@@ -140,21 +141,21 @@ class InternetBuilder {
     if (rng_.chance(profile.mesh_link_fraction)) {
       for (int attempt = 0; attempt < 8 && child == sim::kInvalidId; ++attempt) {
         const sim::NodeId candidate = random_attach_point(state);
-        if (candidate != parent && !out_.topo.interface_on(candidate, subnet))
+        if (candidate != parent && !topo_.interface_on(candidate, subnet))
           child = candidate;
       }
       is_chord = child != sim::kInvalidId;
     }
     if (child == sim::kInvalidId) {
-      child = out_.topo.add_router(
-          profile.name + "-r" + std::to_string(out_.topo.node_count()));
+      child = topo_.add_router(
+          profile.name + "-r" + std::to_string(topo_.node_count()));
       state.routers.push_back(child);
     }
 
     const net::Ipv4Addr near_addr = length == 31 ? prefix.at(0) : prefix.at(1);
     const net::Ipv4Addr far_addr = length == 31 ? prefix.at(1) : prefix.at(2);
-    const auto near_iface = out_.topo.attach(parent, subnet, near_addr);
-    out_.topo.attach(child, subnet, far_addr);
+    const auto near_iface = topo_.attach(parent, subnet, near_addr);
+    topo_.attach(child, subnet, far_addr);
 
     GroundTruthSubnet truth;
     truth.prefix = prefix;
@@ -164,12 +165,12 @@ class InternetBuilder {
 
     if (!is_chord && rng_.chance(profile.firewalled_fraction)) {
       truth.profile = SubnetProfile::kFirewalled;
-      out_.topo.subnet_mut(subnet).firewalled = true;
+      topo_.subnet_mut(subnet).firewalled = true;
     } else if (rng_.chance(profile.partial_dark_fraction)) {
       // Near side dark: the far side answers but no mate is reachable, so
       // the target usually ends up un-subnetized (Figure 7's right bars).
       truth.profile = SubnetProfile::kPartialDark;
-      out_.topo.interface_mut(near_iface).responsive = false;
+      topo_.interface_mut(near_iface).responsive = false;
       truth.responsive = {far_addr};
       if (!is_chord) state.attach_points.push_back(child);
     } else {
@@ -185,7 +186,7 @@ class InternetBuilder {
   void add_lan(const IspProfile& profile, IspState& state,
                SimulatedInternet::Isp& isp, int length) {
     const net::Prefix prefix = state.pool.allocate(length);
-    const auto subnet = out_.topo.add_subnet(prefix);
+    const auto subnet = topo_.add_subnet(prefix);
     const sim::NodeId ingress = random_attach_point(state);
 
     GroundTruthSubnet truth;
@@ -199,7 +200,7 @@ class InternetBuilder {
     const bool multi_homed = rng_.chance(profile.multi_homed_lan_fraction);
     if (firewalled) {
       truth.profile = SubnetProfile::kFirewalled;
-      out_.topo.subnet_mut(subnet).firewalled = true;
+      topo_.subnet_mut(subnet).firewalled = true;
     } else if (partial_dark) {
       truth.profile = SubnetProfile::kPartialDark;
     }
@@ -220,23 +221,23 @@ class InternetBuilder {
       const net::Ipv4Addr addr = prefix.at(offset);
       sim::InterfaceId iface;
       if (!ingress_attached) {
-        iface = out_.topo.attach(ingress, subnet, addr);
+        iface = topo_.attach(ingress, subnet, addr);
         ingress_attached = true;
       } else if (multi_homed && truth.assigned.size() == 1) {
         // Second ingress router: entry-point-dependent exploration.
         const sim::NodeId second = random_attach_point(state);
         if (second != ingress &&
-            !out_.topo.interface_on(second, subnet)) {
-          iface = out_.topo.attach(second, subnet, addr);
+            !topo_.interface_on(second, subnet)) {
+          iface = topo_.attach(second, subnet, addr);
         } else {
-          const sim::NodeId member = out_.topo.add_host(
-              profile.name + "-h" + std::to_string(out_.topo.node_count()));
-          iface = out_.topo.attach(member, subnet, addr);
+          const sim::NodeId member = topo_.add_host(
+              profile.name + "-h" + std::to_string(topo_.node_count()));
+          iface = topo_.attach(member, subnet, addr);
         }
       } else {
-        const sim::NodeId member = out_.topo.add_host(
-            profile.name + "-h" + std::to_string(out_.topo.node_count()));
-        iface = out_.topo.attach(member, subnet, addr);
+        const sim::NodeId member = topo_.add_host(
+            profile.name + "-h" + std::to_string(topo_.node_count()));
+        iface = topo_.attach(member, subnet, addr);
       }
       // Partial darkness: the ingress side and a majority of members are
       // silent, leaving islands that under-estimate or un-subnetize.
@@ -244,7 +245,7 @@ class InternetBuilder {
       if (truth.profile == SubnetProfile::kPartialDark)
         responsive = truth.assigned.empty() ? rng_.chance(0.5)
                                             : rng_.chance(0.35);
-      out_.topo.interface_mut(iface).responsive = responsive;
+      topo_.interface_mut(iface).responsive = responsive;
       truth.assigned.push_back(addr);
       if (responsive && !firewalled) truth.responsive.push_back(addr);
     }
@@ -276,25 +277,26 @@ class InternetBuilder {
     nil.indirect = sim::ResponsePolicy::kIncoming;
     for (const sim::NodeId router : state.routers) {
       if (!rng_.chance(profile.udp_responsive_fraction))
-        out_.topo.set_response_config(router, net::ProbeProtocol::kUdp, nil);
+        topo_.set_response_config(router, net::ProbeProtocol::kUdp, nil);
       if (!rng_.chance(profile.tcp_responsive_fraction))
-        out_.topo.set_response_config(router, net::ProbeProtocol::kTcp, nil);
+        topo_.set_response_config(router, net::ProbeProtocol::kTcp, nil);
       if (rng_.chance(profile.rate_limited_router_fraction))
         out_.rate_limit_plan.emplace_back(router, profile.rate_limit_pps);
     }
     // Hosts get the same per-node protocol lottery.
-    for (sim::NodeId node = 0; node < out_.topo.node_count(); ++node) {
-      const sim::Node& n = out_.topo.node(node);
+    for (sim::NodeId node = 0; node < topo_.node_count(); ++node) {
+      const sim::Node& n = topo_.node(node);
       if (!n.is_host || n.name.rfind(profile.name + "-h", 0) != 0) continue;
       if (!rng_.chance(profile.udp_responsive_fraction))
-        out_.topo.set_response_config(node, net::ProbeProtocol::kUdp, nil);
+        topo_.set_response_config(node, net::ProbeProtocol::kUdp, nil);
       if (!rng_.chance(profile.tcp_responsive_fraction))
-        out_.topo.set_response_config(node, net::ProbeProtocol::kTcp, nil);
+        topo_.set_response_config(node, net::ProbeProtocol::kTcp, nil);
     }
   }
 
   util::Rng rng_;
   AddressPool infra_pool_;
+  sim::TopologyBuilder topo_;
   SimulatedInternet out_;
   std::vector<sim::NodeId> transit_;
 };

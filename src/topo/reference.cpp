@@ -36,6 +36,7 @@ class Builder {
 
     for (const GroundTruthSubnet& subnet : out_.registry.all())
       out_.targets.push_back(subnet.suggested_target);
+    out_.topo = std::move(topo_).build();
     return std::move(out_);
   }
 
@@ -50,15 +51,15 @@ class Builder {
   }
 
   void build_backbone(int core_count) {
-    out_.vantage = out_.topo.add_host("vantage");
-    const sim::NodeId edge = out_.topo.add_router("edge");
-    const auto access = out_.topo.add_subnet(infra_pool_.allocate(30));
-    out_.topo.attach(out_.vantage, access, out_.topo.subnet(access).prefix.at(1));
-    out_.topo.attach(edge, access, out_.topo.subnet(access).prefix.at(2));
+    out_.vantage = topo_.add_host("vantage");
+    const sim::NodeId edge = topo_.add_router("edge");
+    const auto access = topo_.add_subnet(infra_pool_.allocate(30));
+    topo_.attach(out_.vantage, access, topo_.subnet(access).prefix.at(1));
+    topo_.attach(edge, access, topo_.subnet(access).prefix.at(2));
 
     cores_.clear();
     for (int i = 0; i < core_count; ++i)
-      cores_.push_back(out_.topo.add_router("core" + std::to_string(i)));
+      cores_.push_back(topo_.add_router("core" + std::to_string(i)));
     // Edge joins core 0 (infrastructure /31).
     link_infra(edge, cores_[0]);
     // Unregistered ring: shortest paths around an odd-sized ring are unique,
@@ -76,10 +77,10 @@ class Builder {
   }
 
   void link_infra(sim::NodeId a, sim::NodeId b) {
-    const auto subnet = out_.topo.add_subnet(infra_pool_.allocate(31));
-    const net::Prefix prefix = out_.topo.subnet(subnet).prefix;
-    out_.topo.attach(a, subnet, prefix.at(0));
-    out_.topo.attach(b, subnet, prefix.at(1));
+    const auto subnet = topo_.add_subnet(infra_pool_.allocate(31));
+    const net::Prefix prefix = topo_.subnet(subnet).prefix;
+    topo_.attach(a, subnet, prefix.at(0));
+    topo_.attach(b, subnet, prefix.at(1));
   }
 
   // Random attachment biased away from very deep chains so every target
@@ -103,15 +104,15 @@ class Builder {
             : pool_.allocate(row.prefix_length);
     const sim::NodeId parent = random_attach_point();
     const sim::NodeId child =
-        out_.topo.add_router("r" + std::to_string(out_.topo.node_count()));
-    const auto subnet = out_.topo.add_subnet(prefix);
+        topo_.add_router("r" + std::to_string(topo_.node_count()));
+    const auto subnet = topo_.add_subnet(prefix);
 
     const net::Ipv4Addr near_addr =
         row.prefix_length == 31 ? prefix.at(0) : prefix.at(1);
     const net::Ipv4Addr far_addr =
         row.prefix_length == 31 ? prefix.at(1) : prefix.at(2);
-    out_.topo.attach(parent, subnet, near_addr);
-    out_.topo.attach(child, subnet, far_addr);
+    topo_.attach(parent, subnet, near_addr);
+    topo_.attach(child, subnet, far_addr);
 
     GroundTruthSubnet truth;
     truth.prefix = prefix;
@@ -129,7 +130,7 @@ class Builder {
         depth_[child] = depth_[parent] + 1;
         break;
       case SubnetProfile::kFirewalled:
-        out_.topo.subnet_mut(subnet).firewalled = true;
+        topo_.subnet_mut(subnet).firewalled = true;
         break;
       case SubnetProfile::kOverlapBait: {
         truth.responsive = truth.assigned;
@@ -137,13 +138,13 @@ class Builder {
         // dark on the parent side. Exploration of the registered link walks
         // into it and overestimates (§4.1's single ovres row).
         const net::Prefix twin = prefix.parent().upper_half();
-        const auto twin_subnet = out_.topo.add_subnet(twin);
+        const auto twin_subnet = topo_.add_subnet(twin);
         const sim::NodeId stub =
-            out_.topo.add_router("twin" + std::to_string(out_.topo.node_count()));
+            topo_.add_router("twin" + std::to_string(topo_.node_count()));
         const auto dark =
-            out_.topo.attach(parent, twin_subnet, twin.at(1));
-        out_.topo.attach(stub, twin_subnet, twin.at(2));
-        out_.topo.interface_mut(dark).responsive = false;
+            topo_.attach(parent, twin_subnet, twin.at(1));
+        topo_.attach(stub, twin_subnet, twin.at(2));
+        topo_.interface_mut(dark).responsive = false;
         break;
       }
       default:
@@ -218,7 +219,7 @@ class Builder {
 
   void add_lan(const ReferenceRow& row) {
     const net::Prefix prefix = pool_.allocate(row.prefix_length);
-    const auto subnet = out_.topo.add_subnet(prefix);
+    const auto subnet = topo_.add_subnet(prefix);
     const sim::NodeId ingress = random_attach_point();
     const LanPlan plan = plan_lan(row);
 
@@ -232,23 +233,23 @@ class Builder {
       const net::Ipv4Addr addr = prefix.at(offset);
       sim::InterfaceId iface;
       if (first) {
-        iface = out_.topo.attach(ingress, subnet, addr);  // contra-pivot side
+        iface = topo_.attach(ingress, subnet, addr);  // contra-pivot side
         first = false;
       } else {
         const sim::NodeId member =
-            out_.topo.add_host("h" + std::to_string(out_.topo.node_count()));
-        iface = out_.topo.attach(member, subnet, addr);
+            topo_.add_host("h" + std::to_string(topo_.node_count()));
+        iface = topo_.attach(member, subnet, addr);
       }
       const bool responsive =
           std::find(plan.responsive.begin(), plan.responsive.end(), offset) !=
           plan.responsive.end();
-      out_.topo.interface_mut(iface).responsive = responsive;
+      topo_.interface_mut(iface).responsive = responsive;
       truth.assigned.push_back(addr);
       if (responsive) truth.responsive.push_back(addr);
     }
 
     if (row.profile == SubnetProfile::kFirewalled)
-      out_.topo.subnet_mut(subnet).firewalled = true;
+      topo_.subnet_mut(subnet).firewalled = true;
 
     if (plan.unassigned_target) {
       truth.suggested_target = prefix.at(*plan.unassigned_target);
@@ -266,6 +267,7 @@ class Builder {
   util::Rng rng_;
   AddressPool pool_;
   AddressPool infra_pool_;
+  sim::TopologyBuilder topo_;
   ReferenceTopology out_;
   std::vector<sim::NodeId> cores_;
   std::vector<sim::NodeId> attach_points_;

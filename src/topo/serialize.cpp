@@ -1,5 +1,6 @@
 #include "topo/serialize.h"
 
+#include <charconv>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -63,6 +64,13 @@ std::string join_addrs(const std::vector<net::Ipv4Addr>& addrs) {
   return out;
 }
 
+// The shortest decimal that reads back as exactly `value`.
+std::string exact_decimal(double value) {
+  char buffer[32];
+  const auto written = std::to_chars(buffer, buffer + sizeof buffer, value);
+  return std::string(buffer, written.ptr);
+}
+
 std::vector<net::Ipv4Addr> parse_addrs(std::string_view text) {
   std::vector<net::Ipv4Addr> out;
   if (text.empty()) return out;
@@ -87,7 +95,9 @@ void write_topology(std::ostream& out, const sim::Topology& topo,
   for (sim::NodeId id = 0; id < topo.node_count(); ++id) {
     const sim::Node& node = topo.node(id);
     out << "node " << id << ' ' << (node.is_host ? "host" : "router") << ' '
-        << node.name << '\n';
+        << node.name;
+    if (topo.per_packet_load_balancing(id)) out << " per-packet-lb";
+    out << '\n';
   }
   for (sim::SubnetId id = 0; id < topo.subnet_count(); ++id) {
     const sim::Subnet& subnet = topo.subnet(id);
@@ -102,6 +112,8 @@ void write_topology(std::ostream& out, const sim::Topology& topo,
     out << "iface " << iface.node << ' ' << iface.subnet << ' '
         << iface.addr.to_string();
     if (!iface.responsive) out << " dark";
+    if (iface.flakiness != 0.0)
+      out << " flaky=" << exact_decimal(iface.flakiness);
     out << '\n';
   }
   // Non-default response configs only.
@@ -137,6 +149,7 @@ void write_topology(std::ostream& out, const sim::Topology& topo,
 
 LoadedTopology read_topology(std::istream& in) {
   LoadedTopology loaded;
+  sim::TopologyBuilder topo;
   std::map<std::uint64_t, sim::NodeId> node_ids;
   std::map<std::uint64_t, sim::SubnetId> subnet_ids;
 
@@ -155,22 +168,27 @@ LoadedTopology read_topology(std::istream& in) {
       std::uint64_t id = 0;
       if (!util::parse_u64(fields[1], id)) fail(line_no, "bad node id");
       const sim::NodeId actual = fields[2] == "host"
-                                     ? loaded.topo.add_host(fields[3])
-                                     : loaded.topo.add_router(fields[3]);
+                                     ? topo.add_host(fields[3])
+                                     : topo.add_router(fields[3]);
       node_ids[id] = actual;
+      for (std::size_t f = 4; f < fields.size(); ++f) {
+        if (fields[f] != "per-packet-lb")
+          fail(line_no, "unknown node flag " + fields[f]);
+        topo.set_per_packet_load_balancing(actual, true);
+      }
     } else if (kind == "subnet") {
       if (fields.size() < 3) fail(line_no, "subnet needs: id prefix");
       std::uint64_t id = 0;
       if (!util::parse_u64(fields[1], id)) fail(line_no, "bad subnet id");
       const auto prefix = net::Prefix::parse(fields[2]);
       if (!prefix) fail(line_no, "bad prefix " + fields[2]);
-      const sim::SubnetId actual = loaded.topo.add_subnet(*prefix);
+      const sim::SubnetId actual = topo.add_subnet(*prefix);
       subnet_ids[id] = actual;
       for (std::size_t f = 3; f < fields.size(); ++f) {
         if (fields[f] == "firewalled")
-          loaded.topo.subnet_mut(actual).firewalled = true;
+          topo.subnet_mut(actual).firewalled = true;
         else if (fields[f] == "arp-unreach")
-          loaded.topo.subnet_mut(actual).arp_fail =
+          topo.subnet_mut(actual).arp_fail =
               sim::ArpFailBehavior::kHostUnreachable;
         else
           fail(line_no, "unknown subnet flag " + fields[f]);
@@ -186,10 +204,20 @@ LoadedTopology read_topology(std::istream& in) {
       if (!node_ids.contains(node) || !subnet_ids.contains(subnet))
         fail(line_no, "iface references unknown node/subnet");
       const sim::InterfaceId iface =
-          loaded.topo.attach(node_ids[node], subnet_ids[subnet], *addr);
-      if (fields.size() > 4) {
-        if (fields[4] != "dark") fail(line_no, "unknown iface flag " + fields[4]);
-        loaded.topo.interface_mut(iface).responsive = false;
+          topo.attach(node_ids[node], subnet_ids[subnet], *addr);
+      sim::Interface& attrs = topo.interface_mut(iface);
+      for (std::size_t f = 4; f < fields.size(); ++f) {
+        const std::string& flag = fields[f];
+        if (flag == "dark") {
+          attrs.responsive = false;
+        } else if (util::starts_with(flag, "flaky=")) {
+          double flakiness = 0.0;
+          if (!util::parse_double(flag.substr(6), flakiness) || flakiness > 1.0)
+            fail(line_no, "bad flakiness " + flag);
+          attrs.flakiness = flakiness;
+        } else {
+          fail(line_no, "unknown iface flag " + flag);
+        }
       }
     } else if (kind == "config") {
       if (fields.size() < 5) fail(line_no, "config needs: node proto direct indirect");
@@ -210,11 +238,11 @@ LoadedTopology read_topology(std::istream& in) {
       if (fields.size() > 5) {
         const auto addr = net::Ipv4Addr::parse(fields[5]);
         if (!addr) fail(line_no, "bad default interface address");
-        const auto iface = loaded.topo.find_interface(*addr);
+        const auto iface = topo.find_interface(*addr);
         if (!iface) fail(line_no, "default interface address unknown");
         config.default_interface = *iface;
       }
-      loaded.topo.set_response_config(node_ids[node], protocol, config);
+      topo.set_response_config(node_ids[node], protocol, config);
     } else if (kind == "truth") {
       if (fields.size() < 6) fail(line_no, "truth needs 6 fields");
       GroundTruthSubnet truth;
@@ -238,7 +266,7 @@ LoadedTopology read_topology(std::istream& in) {
           fail(line_no, "unknown truth field " + field);
         }
       }
-      if (const auto id = loaded.topo.find_subnet_exact(truth.prefix))
+      if (const auto id = topo.find_subnet_exact(truth.prefix))
         truth.subnet = *id;
       loaded.registry.add(std::move(truth));
     } else {
@@ -250,6 +278,7 @@ LoadedTopology read_topology(std::istream& in) {
       fail(line_no, error.what());
     }
   }
+  loaded.topo = std::move(topo).build();
   return loaded;
 }
 

@@ -4,14 +4,17 @@
 // own networks by hand).
 //
 // Format (line-oriented, '#' comments):
-//   node <id> router|host <name>
+//   node <id> router|host <name> [per-packet-lb]
 //   subnet <id> <prefix> [firewalled] [arp-unreach]
-//   iface <node-id> <subnet-id> <addr> [dark]
+//   iface <node-id> <subnet-id> <addr> [dark] [flaky=<probability>]
 //   config <node-id> icmp|udp|tcp <direct-policy> <indirect-policy> [<default-iface-addr>]
 //   truth <prefix> <profile> target=<addr> assigned=<a,b,...> responsive=<a,b,...>
 //
 // Node/subnet ids are re-assigned densely on load; the file's ids only need
-// to be internally consistent.
+// to be internally consistent. The flakiness is written as the shortest
+// decimal that reads back as the same double, so a reloaded topology replies
+// exactly like the original. Flags are optional, so files written before a
+// flag existed still load.
 #pragma once
 
 #include <iosfwd>

@@ -16,8 +16,10 @@ namespace {
 using test::ip;
 using test::pfx;
 
+// Tests extend the chain's topology and then probe a frozen copy of what
+// was built so far.
 struct Chain {
-  sim::Topology topo;
+  sim::TopologyBuilder topo;
   sim::NodeId vantage, g, r1, r2;
 
   Chain() {
@@ -37,8 +39,11 @@ struct Chain {
     topo.attach(b, subnet, p.at(2));
   }
 
+  sim::Topology freeze() const { return sim::TopologyBuilder(topo).build(); }
+
   ObservedSubnet explore(net::Ipv4Addr v, int d, ExplorerConfig config = {}) {
-    sim::Network net(topo);
+    const sim::Topology frozen = freeze();
+    sim::Network net(frozen);
     probe::SimProbeEngine wire(net, vantage);
     probe::CachingProbeEngine cached(wire);
     SubnetPositioner positioner(cached);
@@ -97,7 +102,8 @@ TEST(ExplorationEdge, VantageAdjacentSubnetGuardsLowTtls) {
   // would need TTL 0 and -1; the guards must turn them into silence rather
   // than underflow, and the access /30 is still collected.
   Chain c;
-  sim::Network net(c.topo);
+  const sim::Topology topo = c.freeze();
+  sim::Network net(topo);
   probe::SimProbeEngine wire(net, c.vantage);
   probe::CachingProbeEngine cached(wire);
   SubnetPositioner positioner(cached);
@@ -166,7 +172,8 @@ TEST(ExplorationEdge, UdpNilMembersShrinkTheUdpView) {
 
 TEST(ExplorationEdge, PositioningAtHopOneAssumesOnPath) {
   Chain c;
-  sim::Network net(c.topo);
+  const sim::Topology topo = c.freeze();
+  sim::Network net(topo);
   probe::SimProbeEngine wire(net, c.vantage);
   SubnetPositioner positioner(wire);
   const Position pos = positioner.position(std::nullopt, ip("10.0.0.2"), 1);
@@ -176,7 +183,8 @@ TEST(ExplorationEdge, PositioningAtHopOneAssumesOnPath) {
 
 TEST(ExplorationEdge, SessionWithZeroRetriesStillRuns) {
   Chain c;
-  sim::Network net(c.topo);
+  const sim::Topology topo = c.freeze();
+  sim::Network net(topo);
   probe::SimProbeEngine wire(net, c.vantage);
   SessionConfig config;
   config.retry_attempts = 0;  // clamped to 1 attempt internally

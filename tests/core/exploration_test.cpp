@@ -17,8 +17,10 @@ namespace {
 using test::ip;
 using test::pfx;
 
+// Tests extend the scenario's topology and then explore; each exploration
+// runs on a frozen copy of what was built so far.
 struct LanScenario {
-  sim::Topology topo;
+  sim::TopologyBuilder topo;
   sim::NodeId vantage, g, r1, r2;  // chain; r2 is the ingress router
   std::vector<sim::NodeId> members;
   sim::SubnetId lan = sim::kInvalidId;
@@ -55,7 +57,8 @@ struct LanScenario {
   // Runs positioning + exploration as the session would for a trace that
   // revealed `v` at hop `d`, with R2's chain interface as previous hop.
   ObservedSubnet explore(net::Ipv4Addr v, int d, ExplorerConfig config = {}) {
-    sim::Network net(topo);
+    const sim::Topology frozen = sim::TopologyBuilder(topo).build();
+    sim::Network net(frozen);
     probe::SimProbeEngine wire(net, vantage);
     probe::CachingProbeEngine cached(wire);
     SubnetPositioner positioner(cached);

@@ -19,24 +19,26 @@ struct Diamond {
   net::Ipv4Addr leaf_addr = ip("10.9.0.1");
 
   Diamond() {
-    vantage = topo.add_host("V");
-    fork = topo.add_router("fork");
-    a = topo.add_router("a");
-    b = topo.add_router("b");
-    join = topo.add_router("join");
+    sim::TopologyBuilder builder;
+    vantage = builder.add_host("V");
+    fork = builder.add_router("fork");
+    a = builder.add_router("a");
+    b = builder.add_router("b");
+    join = builder.add_router("join");
     auto link = [&](sim::NodeId x, sim::NodeId y, const char* prefix) {
-      const auto subnet = topo.add_subnet(pfx(prefix));
-      const net::Prefix p = topo.subnet(subnet).prefix;
-      topo.attach(x, subnet, p.at(0));
-      topo.attach(y, subnet, p.at(1));
+      const auto subnet = builder.add_subnet(pfx(prefix));
+      const net::Prefix p = builder.subnet(subnet).prefix;
+      builder.attach(x, subnet, p.at(0));
+      builder.attach(y, subnet, p.at(1));
     };
     link(vantage, fork, "10.0.0.0/31");
     link(fork, a, "10.0.1.0/31");
     link(fork, b, "10.0.2.0/31");
     link(a, join, "10.0.3.0/31");
     link(b, join, "10.0.4.0/31");
-    const auto leaf = topo.add_subnet(pfx("10.9.0.0/29"));
-    topo.attach(join, leaf, leaf_addr);
+    const auto leaf = builder.add_subnet(pfx("10.9.0.0/29"));
+    builder.attach(join, leaf, leaf_addr);
+    topo = std::move(builder).build();
   }
 };
 
@@ -98,7 +100,9 @@ TEST(Multipath, SessionExploresBothBranchSubnets) {
 
 TEST(Multipath, AnonymousGapTerminates) {
   test::Fig3Topology f;
-  f.topo.subnet_mut(f.s).firewalled = true;
+  test::edit(f.topo, [&](sim::TopologyBuilder& builder) {
+    builder.subnet_mut(f.s).firewalled = true;
+  });
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   MultipathConfig config;
@@ -111,7 +115,9 @@ TEST(Multipath, AnonymousGapTerminates) {
 
 TEST(Multipath, PerPacketBalancerStillConverges) {
   Diamond d;
-  d.topo.set_per_packet_load_balancing(d.fork, true);
+  test::edit(d.topo, [&](sim::TopologyBuilder& builder) {
+    builder.set_per_packet_load_balancing(d.fork, true);
+  });
   sim::Network net(d.topo);
   probe::SimProbeEngine engine(net, d.vantage);
   MultipathDiscovery discovery(engine);

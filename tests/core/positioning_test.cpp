@@ -87,16 +87,18 @@ TEST_F(PositioningTest, PivotMovesToMateWhenRouterReportsNearSideInterface) {
   // The paper's Figure 4 "Sn" scenario: the hop-d router reports an
   // interface on a subnet hanging *below* it (here via the default-interface
   // policy); the true pivot is that interface's mate, one hop deeper.
-  const auto south = f.topo.add_subnet(pfx("10.0.5.0/31"));
-  const auto r9 = f.topo.add_router("R9");
-  const auto south_if = f.topo.attach(f.r3, south, ip("10.0.5.0"));
-  f.topo.attach(r9, south, ip("10.0.5.1"));
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    const auto south = b.add_subnet(pfx("10.0.5.0/31"));
+    const auto r9 = b.add_router("R9");
+    const auto south_if = b.attach(f.r3, south, ip("10.0.5.0"));
+    b.attach(r9, south, ip("10.0.5.1"));
 
-  sim::ResponseConfig config;
-  config.direct = sim::ResponsePolicy::kProbed;
-  config.indirect = sim::ResponsePolicy::kDefault;
-  config.default_interface = south_if;
-  f.topo.set_response_config_all(f.r3, config);
+    sim::ResponseConfig config;
+    config.direct = sim::ResponsePolicy::kProbed;
+    config.indirect = sim::ResponsePolicy::kDefault;
+    config.default_interface = south_if;
+    b.set_response_config_all(f.r3, config);
+  });
 
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
@@ -112,16 +114,18 @@ TEST_F(PositioningTest, PivotMovesToMateWhenRouterReportsNearSideInterface) {
 TEST_F(PositioningTest, PivotFallsBackToMate30) {
   // Same scenario but on a /30 LAN numbered so that v's /31 mate is the
   // unassigned boundary and the /30 mate is the live far side.
-  const auto south = f.topo.add_subnet(pfx("10.0.6.0/30"));
-  const auto r9 = f.topo.add_router("R9b");
-  const auto south_if = f.topo.attach(f.r3, south, ip("10.0.6.1"));
-  f.topo.attach(r9, south, ip("10.0.6.2"));
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    const auto south = b.add_subnet(pfx("10.0.6.0/30"));
+    const auto r9 = b.add_router("R9b");
+    const auto south_if = b.attach(f.r3, south, ip("10.0.6.1"));
+    b.attach(r9, south, ip("10.0.6.2"));
 
-  sim::ResponseConfig config;
-  config.direct = sim::ResponsePolicy::kProbed;
-  config.indirect = sim::ResponsePolicy::kDefault;
-  config.default_interface = south_if;
-  f.topo.set_response_config_all(f.r3, config);
+    sim::ResponseConfig config;
+    config.direct = sim::ResponsePolicy::kProbed;
+    config.indirect = sim::ResponsePolicy::kDefault;
+    config.default_interface = south_if;
+    b.set_response_config_all(f.r3, config);
+  });
 
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
@@ -135,7 +139,9 @@ TEST_F(PositioningTest, AnonymousIngressLeavesFieldEmpty) {
   sim::ResponseConfig nil;
   nil.direct = sim::ResponsePolicy::kProbed;
   nil.indirect = sim::ResponsePolicy::kNil;
-  f.topo.set_response_config_all(f.r2, nil);
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.set_response_config_all(f.r2, nil);
+  });
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   SubnetPositioner positioner(engine);

@@ -74,7 +74,9 @@ TEST_F(SessionTest, AnonymousHopYieldsNoSubnet) {
   sim::ResponseConfig nil;
   nil.direct = sim::ResponsePolicy::kNil;
   nil.indirect = sim::ResponsePolicy::kNil;
-  f.topo.set_response_config_all(f.r1, nil);
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.set_response_config_all(f.r1, nil);
+  });
   sim::Network net(f.topo);
   probe::SimProbeEngine wire(net, f.vantage);
   TracenetSession session(wire);
@@ -87,7 +89,9 @@ TEST_F(SessionTest, AnonymousHopYieldsNoSubnet) {
 }
 
 TEST_F(SessionTest, FirewalledSubnetIsMissedEntirely) {
-  f.topo.subnet_mut(f.s).firewalled = true;
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.subnet_mut(f.s).firewalled = true;
+  });
   sim::Network net(f.topo);
   probe::SimProbeEngine wire(net, f.vantage);
   TracenetSession session(wire);
@@ -145,8 +149,10 @@ TEST_F(SessionTest, UdpNilRoutersShrinkTheHarvest) {
   sim::ResponseConfig udp_nil;
   udp_nil.direct = sim::ResponsePolicy::kNil;
   udp_nil.indirect = sim::ResponsePolicy::kNil;
-  for (const auto node : {f.r2, f.r3, f.r6})
-    f.topo.set_response_config(node, net::ProbeProtocol::kUdp, udp_nil);
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    for (const auto node : {f.r2, f.r3, f.r6})
+      b.set_response_config(node, net::ProbeProtocol::kUdp, udp_nil);
+  });
 
   sim::Network net(f.topo);
   probe::SimProbeEngine wire(net, f.vantage);

@@ -12,13 +12,14 @@ using net::ProbeProtocol;
 using net::ResponseType;
 using test::ip;
 
+// Each test builds its Network after any edit to the topology.
 class TracerouteTest : public ::testing::Test {
  protected:
   test::Fig3Topology f;
-  sim::Network net{f.topo};
 };
 
 TEST_F(TracerouteTest, CollectsFullPath) {
+  sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   Traceroute tracer(engine);
   const TracePath path = tracer.run(f.pivot4);
@@ -36,7 +37,10 @@ TEST_F(TracerouteTest, AnonymousHopShownAsGap) {
   sim::ResponseConfig nil;
   nil.direct = sim::ResponsePolicy::kNil;
   nil.indirect = sim::ResponsePolicy::kNil;
-  f.topo.set_response_config_all(f.r1, nil);
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.set_response_config_all(f.r1, nil);
+  });
+  sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   Traceroute tracer(engine);
   const TracePath path = tracer.run(f.pivot4);
@@ -47,6 +51,7 @@ TEST_F(TracerouteTest, AnonymousHopShownAsGap) {
 }
 
 TEST_F(TracerouteTest, AbandonsAfterAnonymousGapLimit) {
+  sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   TracerouteConfig config;
   config.anonymous_gap_limit = 3;
@@ -58,6 +63,7 @@ TEST_F(TracerouteTest, AbandonsAfterAnonymousGapLimit) {
 }
 
 TEST_F(TracerouteTest, MaxTtlBoundsThePath) {
+  sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   TracerouteConfig config;
   config.max_ttl = 2;
@@ -73,7 +79,10 @@ TEST_F(TracerouteTest, DestinationReachedViaOtherInterface) {
   sim::ResponseConfig config;
   config.direct = sim::ResponsePolicy::kShortestPath;
   config.indirect = sim::ResponsePolicy::kIncoming;
-  f.topo.set_response_config_all(f.r4, config);
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.set_response_config_all(f.r4, config);
+  });
+  sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   Traceroute tracer(engine);
   const TracePath path = tracer.run(f.far_fringe);  // R4's far-LAN address
@@ -83,6 +92,7 @@ TEST_F(TracerouteTest, DestinationReachedViaOtherInterface) {
 }
 
 TEST_F(TracerouteTest, UdpTraceUsesPortUnreachableTermination) {
+  sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
   TracerouteConfig config;
   config.protocol = ProbeProtocol::kUdp;
@@ -103,11 +113,14 @@ TEST_F(TracerouteTest, RespondersSkipAnonymous) {
 }
 
 TEST_F(TracerouteTest, ToStringRendersStars) {
-  probe::SimProbeEngine engine(net, f.vantage);
   sim::ResponseConfig nil;
   nil.direct = sim::ResponsePolicy::kNil;
   nil.indirect = sim::ResponsePolicy::kNil;
-  f.topo.set_response_config_all(f.r1, nil);
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.set_response_config_all(f.r1, nil);
+  });
+  sim::Network net(f.topo);
+  probe::SimProbeEngine engine(net, f.vantage);
   Traceroute tracer(engine);
   const auto text = tracer.run(f.pivot4).to_string();
   EXPECT_NE(text.find("*"), std::string::npos);

@@ -58,7 +58,9 @@ TEST(Campaign, CountsSubnetizedAndUnsubnetizedAddresses) {
 
 TEST(Campaign, TargetsRespondingTracksReachability) {
   test::Fig3Topology f;
-  f.topo.subnet_mut(f.far_lan).firewalled = true;
+  test::edit(f.topo, [&](sim::TopologyBuilder& b) {
+    b.subnet_mut(f.far_lan).firewalled = true;
+  });
   sim::Network net(f.topo);
   const VantageObservations obs = run_campaign(
       net, f.vantage, "V", {f.pivot4, ip("10.0.4.2")}, {});

@@ -25,21 +25,21 @@ struct Fig2Topology {
   sim::NodeId r[10];  // 1-indexed
   sim::SubnetId shared;
 
-  sim::SubnetId p2p(sim::NodeId x, sim::NodeId y, std::string_view prefix) {
-    const auto subnet = topo.add_subnet(test::pfx(prefix));
-    const net::Prefix p = topo.subnet(subnet).prefix;
-    topo.attach(x, subnet, p.at(1));
-    topo.attach(y, subnet, p.at(2));
-    return subnet;
-  }
-
   Fig2Topology() {
-    a = topo.add_host("A");
-    b = topo.add_host("B");
-    c = topo.add_host("C");
-    d = topo.add_host("D");
+    sim::TopologyBuilder builder;
+    const auto p2p = [&](sim::NodeId x, sim::NodeId y,
+                         std::string_view prefix) {
+      const auto subnet = builder.add_subnet(test::pfx(prefix));
+      const net::Prefix p = builder.subnet(subnet).prefix;
+      builder.attach(x, subnet, p.at(1));
+      builder.attach(y, subnet, p.at(2));
+    };
+    a = builder.add_host("A");
+    b = builder.add_host("B");
+    c = builder.add_host("C");
+    d = builder.add_host("D");
     for (int i = 1; i <= 9; ++i)
-      r[i] = topo.add_router("R" + std::to_string(i));
+      r[i] = builder.add_router("R" + std::to_string(i));
 
     // Access links.
     p2p(a, r[1], "10.1.0.0/30");
@@ -55,11 +55,12 @@ struct Fig2Topology {
     p2p(r[6], r[3], "10.2.3.0/30");
 
     // The multi-access LAN shared by R2, R4, R5, R8.
-    shared = topo.add_subnet(test::pfx("172.16.0.0/29"));
-    topo.attach(r[2], shared, ip("172.16.0.1"));
-    topo.attach(r[4], shared, ip("172.16.0.2"));
-    topo.attach(r[5], shared, ip("172.16.0.3"));
-    topo.attach(r[8], shared, ip("172.16.0.4"));
+    shared = builder.add_subnet(test::pfx("172.16.0.0/29"));
+    builder.attach(r[2], shared, ip("172.16.0.1"));
+    builder.attach(r[4], shared, ip("172.16.0.2"));
+    builder.attach(r[5], shared, ip("172.16.0.3"));
+    builder.attach(r[8], shared, ip("172.16.0.4"));
+    topo = std::move(builder).build();
   }
 };
 

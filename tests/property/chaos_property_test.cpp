@@ -33,18 +33,19 @@ struct ChaosWorld {
 
   explicit ChaosWorld(std::uint64_t seed) {
     util::Rng rng(seed);
-    vantage = topo.add_host("V");
+    sim::TopologyBuilder builder;
+    vantage = builder.add_host("V");
     sim::NodeId previous = vantage;
     std::vector<sim::NodeId> routers;
     const int depth = static_cast<int>(2 + rng.below(4));  // 2..5 routers
     for (int i = 0; i < depth; ++i) {
-      const sim::NodeId router = topo.add_router("R" + std::to_string(i));
-      const auto link = topo.add_subnet(net::Prefix::covering(
+      const sim::NodeId router = builder.add_router("R" + std::to_string(i));
+      const auto link = builder.add_subnet(net::Prefix::covering(
           net::Ipv4Addr(ip("10.0.0.0").value() +
                         static_cast<std::uint32_t>(i) * 4),
           30));
-      topo.attach(previous, link, topo.subnet(link).prefix.at(1));
-      topo.attach(router, link, topo.subnet(link).prefix.at(2));
+      builder.attach(previous, link, builder.subnet(link).prefix.at(1));
+      builder.attach(router, link, builder.subnet(link).prefix.at(2));
       routers.push_back(router);
       previous = router;
     }
@@ -55,13 +56,13 @@ struct ChaosWorld {
           net::Ipv4Addr(ip("192.168.0.0").value() +
                         static_cast<std::uint32_t>(i) * 256),
           length);
-      const auto lan = topo.add_subnet(lan_prefix);
-      topo.attach(routers[i], lan, lan_prefix.at(1));
+      const auto lan = builder.add_subnet(lan_prefix);
+      builder.attach(routers[i], lan, lan_prefix.at(1));
       bool target_chosen = false;
       for (std::uint64_t o = 2; o <= lan_prefix.capacity(); ++o) {
         if (!rng.chance(0.7)) continue;
-        const auto host = topo.add_host("h" + lan_prefix.at(o).to_string());
-        topo.attach(host, lan, lan_prefix.at(o));
+        const auto host = builder.add_host("h" + lan_prefix.at(o).to_string());
+        builder.attach(host, lan, lan_prefix.at(o));
         if (!target_chosen) {
           targets.push_back(lan_prefix.at(o));
           target_chosen = true;
@@ -69,6 +70,7 @@ struct ChaosWorld {
       }
       if (!target_chosen) targets.push_back(lan_prefix.at(1));
     }
+    topo = std::move(builder).build();
 
     // Random fault scenario from the same stream.
     spec.seed = rng.next();

@@ -43,22 +43,23 @@ class ExplorationProperty : public ::testing::TestWithParam<Params> {
   // Chain vantage -> G -> R1 -> ingress, LAN of the requested shape.
   void build(const Params& params) {
     util::Rng rng(params.seed);
-    vantage_ = topo_.add_host("V");
-    const auto g = topo_.add_router("G");
-    const auto r1 = topo_.add_router("R1");
-    ingress_ = topo_.add_router("R2");
+    sim::TopologyBuilder builder;
+    vantage_ = builder.add_host("V");
+    const auto g = builder.add_router("G");
+    const auto r1 = builder.add_router("R1");
+    ingress_ = builder.add_router("R2");
     auto link = [&](sim::NodeId a, sim::NodeId b, const char* prefix) {
-      const auto subnet = topo_.add_subnet(pfx(prefix));
-      const net::Prefix p = topo_.subnet(subnet).prefix;
-      topo_.attach(a, subnet, p.at(1));
-      topo_.attach(b, subnet, p.at(2));
+      const auto subnet = builder.add_subnet(pfx(prefix));
+      const net::Prefix p = builder.subnet(subnet).prefix;
+      builder.attach(a, subnet, p.at(1));
+      builder.attach(b, subnet, p.at(2));
     };
     link(vantage_, g, "10.0.0.0/30");
     link(g, r1, "10.0.1.0/30");
     link(r1, ingress_, "10.0.2.0/30");
 
     truth_ = net::Prefix::covering(ip("192.168.0.0"), params.prefix_length);
-    const auto lan = topo_.add_subnet(truth_);
+    const auto lan = builder.add_subnet(truth_);
 
     // Random member subset: ingress always gets the first chosen offset.
     std::vector<std::uint64_t> offsets;
@@ -74,15 +75,16 @@ class ExplorationProperty : public ::testing::TestWithParam<Params> {
     for (const std::uint64_t offset : offsets) {
       const net::Ipv4Addr addr = truth_.at(offset);
       if (first) {
-        topo_.attach(ingress_, lan, addr);
+        builder.attach(ingress_, lan, addr);
         first = false;
       } else {
-        const auto host = topo_.add_host("h" + addr.to_string());
-        topo_.attach(host, lan, addr);
+        const auto host = builder.add_host("h" + addr.to_string());
+        builder.attach(host, lan, addr);
         members_.push_back(addr);
       }
       assigned_.insert(addr);
     }
+    topo_ = std::move(builder).build();
   }
 
   ObservedSubnet explore(net::Ipv4Addr target) {
@@ -165,27 +167,28 @@ class FullUtilization : public ::testing::TestWithParam<int> {};
 
 TEST_P(FullUtilization, FullyAssignedLanIsExact) {
   const int length = GetParam();
-  sim::Topology topo;
-  const auto vantage = topo.add_host("V");
-  const auto g = topo.add_router("G");
-  const auto r1 = topo.add_router("R1");
-  const auto ingress = topo.add_router("R2");
+  sim::TopologyBuilder builder;
+  const auto vantage = builder.add_host("V");
+  const auto g = builder.add_router("G");
+  const auto r1 = builder.add_router("R1");
+  const auto ingress = builder.add_router("R2");
   auto link = [&](sim::NodeId a, sim::NodeId b, const char* prefix) {
-    const auto subnet = topo.add_subnet(pfx(prefix));
-    const net::Prefix p = topo.subnet(subnet).prefix;
-    topo.attach(a, subnet, p.at(1));
-    topo.attach(b, subnet, p.at(2));
+    const auto subnet = builder.add_subnet(pfx(prefix));
+    const net::Prefix p = builder.subnet(subnet).prefix;
+    builder.attach(a, subnet, p.at(1));
+    builder.attach(b, subnet, p.at(2));
   };
   link(vantage, g, "10.0.0.0/30");
   link(g, r1, "10.0.1.0/30");
   link(r1, ingress, "10.0.2.0/30");
   const net::Prefix truth = net::Prefix::covering(ip("192.168.0.0"), length);
-  const auto lan = topo.add_subnet(truth);
-  topo.attach(ingress, lan, truth.at(1));
+  const auto lan = builder.add_subnet(truth);
+  builder.attach(ingress, lan, truth.at(1));
   for (std::uint64_t i = 2; i <= truth.capacity(); ++i) {
-    const auto host = topo.add_host("h" + std::to_string(i));
-    topo.attach(host, lan, truth.at(i));
+    const auto host = builder.add_host("h" + std::to_string(i));
+    builder.attach(host, lan, truth.at(i));
   }
+  const sim::Topology topo = std::move(builder).build();
 
   sim::Network net(topo);
   probe::SimProbeEngine wire(net, vantage);

@@ -56,7 +56,7 @@ TEST(AddressIndex, RandomNonInterfaceAddressesMiss) {
 }
 
 TEST(AddressIndex, DuplicateAttachStillThrows) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId a = t.add_router("a");
   const NodeId b = t.add_router("b");
   const SubnetId s = t.add_subnet(pfx("10.0.0.0/29"));
@@ -78,7 +78,7 @@ TEST(AddressIndex, DuplicateAttachStillThrows) {
 // An empty slot is marked by its interface id, not by its address, so the
 // all-zeros address is a key like any other.
 TEST(AddressIndex, ZeroAndAllOnesAddressesOnSlash31sResolve) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId a = t.add_router("a");
   const NodeId b = t.add_router("b");
   const SubnetId low = t.add_subnet(pfx("0.0.0.0/31"));

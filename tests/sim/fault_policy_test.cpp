@@ -579,26 +579,27 @@ TEST(FaultInjection, ChurnEpochIsAPureFunctionOfSchedulePosition) {
 TEST(FaultInjection, ChurnRerollsEcmpTieBreaksOnlyInLaterEpochs) {
   // A diamond: V - G - {A, B} - multi-access S. G holds two equal-cost next
   // hops toward S, so churn can flip its per-flow tie-break in epoch 1.
-  sim::Topology topo;
-  const NodeId v = topo.add_host("V");
-  const NodeId g = topo.add_router("G");
-  const NodeId a = topo.add_router("A");
-  const NodeId b = topo.add_router("B");
-  const NodeId h = topo.add_host("H");
-  const auto lan_v = topo.add_subnet(test::pfx("10.0.0.0/30"));
-  topo.attach(v, lan_v, test::ip("10.0.0.1"));
-  topo.attach(g, lan_v, test::ip("10.0.0.2"));
-  const auto ga = topo.add_subnet(test::pfx("10.0.1.0/31"));
-  topo.attach(g, ga, test::ip("10.0.1.0"));
-  topo.attach(a, ga, test::ip("10.0.1.1"));
-  const auto gb = topo.add_subnet(test::pfx("10.0.2.0/31"));
-  topo.attach(g, gb, test::ip("10.0.2.0"));
-  topo.attach(b, gb, test::ip("10.0.2.1"));
-  const auto s = topo.add_subnet(test::pfx("192.168.1.0/29"));
-  topo.attach(a, s, test::ip("192.168.1.1"));
-  topo.attach(b, s, test::ip("192.168.1.2"));
-  topo.attach(h, s, test::ip("192.168.1.3"));
+  sim::TopologyBuilder builder;
+  const NodeId v = builder.add_host("V");
+  const NodeId g = builder.add_router("G");
+  const NodeId a = builder.add_router("A");
+  const NodeId b = builder.add_router("B");
+  const NodeId h = builder.add_host("H");
+  const auto lan_v = builder.add_subnet(test::pfx("10.0.0.0/30"));
+  builder.attach(v, lan_v, test::ip("10.0.0.1"));
+  builder.attach(g, lan_v, test::ip("10.0.0.2"));
+  const auto ga = builder.add_subnet(test::pfx("10.0.1.0/31"));
+  builder.attach(g, ga, test::ip("10.0.1.0"));
+  builder.attach(a, ga, test::ip("10.0.1.1"));
+  const auto gb = builder.add_subnet(test::pfx("10.0.2.0/31"));
+  builder.attach(g, gb, test::ip("10.0.2.0"));
+  builder.attach(b, gb, test::ip("10.0.2.1"));
+  const auto s = builder.add_subnet(test::pfx("192.168.1.0/29"));
+  builder.attach(a, s, test::ip("192.168.1.1"));
+  builder.attach(b, s, test::ip("192.168.1.2"));
+  builder.attach(h, s, test::ip("192.168.1.3"));
 
+  const Topology topo = std::move(builder).build();
   Network net(topo);
   FaultSpec spec;
   spec.seed = 7;

@@ -16,7 +16,8 @@ using test::ip;
 using test::pfx;
 
 // Diamond topology: V - fork - {a | b} - join - leaf LAN.
-// Both branches are length 1, so `fork` has two equal-cost next hops.
+// Both branches are length 1, so `fork` has two equal-cost next hops, unless
+// `a` is built as a host, which never forwards: branch a is then down.
 struct Diamond {
   Topology topo;
   NodeId vantage, fork, a, b, join;
@@ -24,35 +25,37 @@ struct Diamond {
   net::Ipv4Addr leaf_addr = ip("10.9.0.1");
   net::Ipv4Addr leaf_addr2 = ip("10.9.0.2");
 
-  Diamond() {
-    vantage = topo.add_host("V");
-    fork = topo.add_router("fork");
-    a = topo.add_router("a");
-    b = topo.add_router("b");
-    join = topo.add_router("join");
+  explicit Diamond(bool a_forwards = true) {
+    TopologyBuilder builder;
+    vantage = builder.add_host("V");
+    fork = builder.add_router("fork");
+    a = a_forwards ? builder.add_router("a") : builder.add_host("a");
+    b = builder.add_router("b");
+    join = builder.add_router("join");
 
-    const auto lv = topo.add_subnet(pfx("10.0.0.0/31"));
-    topo.attach(vantage, lv, ip("10.0.0.0"));
-    topo.attach(fork, lv, ip("10.0.0.1"));
+    const auto lv = builder.add_subnet(pfx("10.0.0.0/31"));
+    builder.attach(vantage, lv, ip("10.0.0.0"));
+    builder.attach(fork, lv, ip("10.0.0.1"));
 
-    const auto fa = topo.add_subnet(pfx("10.0.1.0/31"));
-    topo.attach(fork, fa, ip("10.0.1.0"));
-    topo.attach(a, fa, ip("10.0.1.1"));
-    const auto fb = topo.add_subnet(pfx("10.0.2.0/31"));
-    topo.attach(fork, fb, ip("10.0.2.0"));
-    topo.attach(b, fb, ip("10.0.2.1"));
+    const auto fa = builder.add_subnet(pfx("10.0.1.0/31"));
+    builder.attach(fork, fa, ip("10.0.1.0"));
+    builder.attach(a, fa, ip("10.0.1.1"));
+    const auto fb = builder.add_subnet(pfx("10.0.2.0/31"));
+    builder.attach(fork, fb, ip("10.0.2.0"));
+    builder.attach(b, fb, ip("10.0.2.1"));
 
-    const auto aj = topo.add_subnet(pfx("10.0.3.0/31"));
-    topo.attach(a, aj, ip("10.0.3.0"));
-    topo.attach(join, aj, ip("10.0.3.1"));
-    const auto bj = topo.add_subnet(pfx("10.0.4.0/31"));
-    topo.attach(b, bj, ip("10.0.4.0"));
-    topo.attach(join, bj, ip("10.0.4.1"));
+    const auto aj = builder.add_subnet(pfx("10.0.3.0/31"));
+    builder.attach(a, aj, ip("10.0.3.0"));
+    builder.attach(join, aj, ip("10.0.3.1"));
+    const auto bj = builder.add_subnet(pfx("10.0.4.0/31"));
+    builder.attach(b, bj, ip("10.0.4.0"));
+    builder.attach(join, bj, ip("10.0.4.1"));
 
-    leaf = topo.add_subnet(pfx("10.9.0.0/29"));
-    topo.attach(join, leaf, leaf_addr);
-    const auto extra = topo.add_router("leaf2");
-    topo.attach(extra, leaf, leaf_addr2);
+    leaf = builder.add_subnet(pfx("10.9.0.0/29"));
+    builder.attach(join, leaf, leaf_addr);
+    const auto extra = builder.add_router("leaf2");
+    builder.attach(extra, leaf, leaf_addr2);
+    topo = std::move(builder).build();
   }
 
   net::ProbeReply hop2(Network& net, net::Ipv4Addr target, std::uint16_t flow) {
@@ -114,7 +117,9 @@ TEST(Fluctuation, PerDestAddrHashCanSplitSubnetProbes) {
 
 TEST(Fluctuation, PerPacketLoadBalancerAlternates) {
   Diamond d;
-  d.topo.set_per_packet_load_balancing(d.fork, true);
+  test::edit(d.topo, [&](TopologyBuilder& b) {
+    b.set_per_packet_load_balancing(d.fork, true);
+  });
   Network net(d.topo);
   const auto first = d.hop2(net, d.leaf_addr, 7);
   const auto second = d.hop2(net, d.leaf_addr, 7);
@@ -128,7 +133,9 @@ TEST(Fluctuation, FluctuatingPathsConvergeAtIngress) {
   // through `join` — the paper's stable-ingress argument. TTL 3 always
   // expires at join regardless of branch.
   Diamond d;
-  d.topo.set_per_packet_load_balancing(d.fork, true);
+  test::edit(d.topo, [&](TopologyBuilder& b) {
+    b.set_per_packet_load_balancing(d.fork, true);
+  });
   Network net(d.topo);
   for (int i = 0; i < 10; ++i) {
     Probe p;
@@ -158,9 +165,9 @@ TEST(Fluctuation, StepHookObservesWalk) {
 }
 
 TEST(Fluctuation, RouteChangeMidExperimentShiftsHopDistance) {
-  // Take branch subnets down by detaching is unsupported; instead lengthen
-  // one branch mid-run by marking router `a` a host (it stops forwarding),
-  // then verify re-convergence through b only.
+  // "Link maintenance" on branch a mid-run: the routing update is a new
+  // snapshot in which `a` no longer forwards, probed through a network of
+  // its own. Routes re-converge through b only.
   Diamond d;
   Network net(d.topo);
   std::set<std::uint32_t> before;
@@ -168,15 +175,12 @@ TEST(Fluctuation, RouteChangeMidExperimentShiftsHopDistance) {
     before.insert(d.hop2(net, d.leaf_addr, flow).responder.value());
   EXPECT_EQ(before.size(), 2u);
 
-  d.topo.node_mut(d.a).is_host = true;  // "link maintenance" on branch a
-  // Invalidate cached routes by bumping the version via a benign mutation.
-  d.topo.set_per_packet_load_balancing(d.fork, false);
-  const auto s = d.topo.add_subnet(pfx("172.31.0.0/30"));
-  (void)s;
-
+  Diamond maintained(/*a_forwards=*/false);
+  Network rerouted(maintained.topo);
   std::set<std::uint32_t> after;
   for (std::uint16_t flow = 0; flow < 32; ++flow)
-    after.insert(d.hop2(net, d.leaf_addr, flow).responder.value());
+    after.insert(
+        maintained.hop2(rerouted, d.leaf_addr, flow).responder.value());
   EXPECT_EQ(after.size(), 1u);
   EXPECT_EQ(*after.begin(), ip("10.0.2.1").value());  // b's interface
 }

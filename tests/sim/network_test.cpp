@@ -104,7 +104,9 @@ TEST_F(NetworkTest, NilRouterIsAnonymous) {
   ResponseConfig nil;
   nil.direct = ResponsePolicy::kNil;
   nil.indirect = ResponsePolicy::kNil;
-  f.topo.set_response_config_all(f.r1, nil);
+  test::edit(f.topo, [&](TopologyBuilder& b) {
+    b.set_response_config_all(f.r1, nil);
+  });
   Network net(f.topo);
   // Hop 2 goes dark, later hops unaffected.
   EXPECT_TRUE(net.send_probe(f.vantage, indirect(f.pivot4, 2)).is_none());
@@ -116,7 +118,9 @@ TEST_F(NetworkTest, ShortestPathPolicyReportsReturnInterface) {
   ResponseConfig config;
   config.direct = ResponsePolicy::kProbed;
   config.indirect = ResponsePolicy::kShortestPath;
-  f.topo.set_response_config(f.r2, ProbeProtocol::kIcmp, config);
+  test::edit(f.topo, [&](TopologyBuilder& b) {
+    b.set_response_config(f.r2, ProbeProtocol::kIcmp, config);
+  });
   Network net(f.topo);
   const auto reply = net.send_probe(f.vantage, indirect(f.pivot4, 3));
   EXPECT_EQ(reply.type, ResponseType::kTtlExceeded);
@@ -129,7 +133,9 @@ TEST_F(NetworkTest, DefaultPolicyReportsFixedAddress) {
   config.direct = ResponsePolicy::kProbed;
   config.indirect = ResponsePolicy::kDefault;
   config.default_interface = default_iface;
-  f.topo.set_response_config(f.r2, ProbeProtocol::kIcmp, config);
+  test::edit(f.topo, [&](TopologyBuilder& b) {
+    b.set_response_config(f.r2, ProbeProtocol::kIcmp, config);
+  });
   Network net(f.topo);
   const auto reply = net.send_probe(f.vantage, indirect(f.pivot4, 3));
   EXPECT_EQ(reply.responder, ip("10.0.3.1"));
@@ -137,7 +143,9 @@ TEST_F(NetworkTest, DefaultPolicyReportsFixedAddress) {
 
 TEST_F(NetworkTest, UnresponsiveInterfaceStaysSilentButForwards) {
   const auto iface = *f.topo.find_interface(f.pivot4);
-  f.topo.interface_mut(iface).responsive = false;
+  test::edit(f.topo, [&](TopologyBuilder& b) {
+    b.interface_mut(iface).responsive = false;
+  });
   Network net(f.topo);
   // Direct probe to the dark interface: silence.
   EXPECT_TRUE(net.send_probe(f.vantage, direct(f.pivot4)).is_none());
@@ -147,7 +155,8 @@ TEST_F(NetworkTest, UnresponsiveInterfaceStaysSilentButForwards) {
 }
 
 TEST_F(NetworkTest, FirewalledSubnetIsDark) {
-  f.topo.subnet_mut(f.s).firewalled = true;
+  test::edit(f.topo,
+             [&](TopologyBuilder& b) { b.subnet_mut(f.s).firewalled = true; });
   Network net(f.topo);
   // Everything inside the prefix is dark, including the ingress router's own
   // interface on it.
@@ -162,7 +171,9 @@ TEST_F(NetworkTest, FirewalledSubnetIsDark) {
 }
 
 TEST_F(NetworkTest, ArpFailureCanEmitHostUnreachable) {
-  f.topo.subnet_mut(f.s).arp_fail = ArpFailBehavior::kHostUnreachable;
+  test::edit(f.topo, [&](TopologyBuilder& b) {
+    b.subnet_mut(f.s).arp_fail = ArpFailBehavior::kHostUnreachable;
+  });
   Network net(f.topo);
   const auto reply = net.send_probe(f.vantage, direct(ip("192.168.1.9")));
   EXPECT_EQ(reply.type, ResponseType::kHostUnreachable);
@@ -183,7 +194,9 @@ TEST_F(NetworkTest, ProtocolSpecificNilConfig) {
   ResponseConfig nil;
   nil.direct = ResponsePolicy::kNil;
   nil.indirect = ResponsePolicy::kNil;
-  f.topo.set_response_config(f.r3, ProbeProtocol::kUdp, nil);
+  test::edit(f.topo, [&](TopologyBuilder& b) {
+    b.set_response_config(f.r3, ProbeProtocol::kUdp, nil);
+  });
   Network net(f.topo);
   Probe udp = direct(f.pivot3);
   udp.protocol = ProbeProtocol::kUdp;

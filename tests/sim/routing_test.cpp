@@ -35,13 +35,14 @@ TEST(Routing, DistanceAlongChain) {
 }
 
 TEST(Routing, UnreachableIsland) {
-  Topology t;
-  const NodeId a = t.add_router("a");
-  const NodeId b = t.add_router("b");
-  const SubnetId sa = t.add_subnet(pfx("10.0.0.0/31"));
-  const SubnetId sb = t.add_subnet(pfx("10.0.1.0/31"));
-  t.attach(a, sa, ip("10.0.0.0"));
-  t.attach(b, sb, ip("10.0.1.0"));
+  TopologyBuilder builder;
+  const NodeId a = builder.add_router("a");
+  const NodeId b = builder.add_router("b");
+  const SubnetId sa = builder.add_subnet(pfx("10.0.0.0/31"));
+  const SubnetId sb = builder.add_subnet(pfx("10.0.1.0/31"));
+  builder.attach(a, sa, ip("10.0.0.0"));
+  builder.attach(b, sb, ip("10.0.1.0"));
+  const Topology t = std::move(builder).build();
   RoutingTable routes(t);
   EXPECT_EQ(routes.distance(a, sb), RoutingTable::kUnreachable);
   EXPECT_TRUE(routes.next_hops(a, sb).empty());
@@ -60,25 +61,26 @@ TEST(Routing, NextHopsPointStrictlyCloser) {
 
 TEST(Routing, EqualCostPathsYieldMultipleNextHops) {
   // Diamond: src -- a -- dst and src -- b -- dst, both length 2.
-  Topology t;
-  const NodeId src = t.add_router("src");
-  const NodeId a = t.add_router("a");
-  const NodeId b = t.add_router("b");
-  const NodeId dst = t.add_router("dst");
-  const SubnetId sa = t.add_subnet(pfx("10.0.0.0/31"));
-  const SubnetId sb = t.add_subnet(pfx("10.0.0.2/31"));
-  const SubnetId da = t.add_subnet(pfx("10.0.0.4/31"));
-  const SubnetId db = t.add_subnet(pfx("10.0.0.6/31"));
-  const SubnetId target = t.add_subnet(pfx("10.0.1.0/30"));
-  t.attach(src, sa, ip("10.0.0.0"));
-  t.attach(a, sa, ip("10.0.0.1"));
-  t.attach(src, sb, ip("10.0.0.2"));
-  t.attach(b, sb, ip("10.0.0.3"));
-  t.attach(a, da, ip("10.0.0.4"));
-  t.attach(dst, da, ip("10.0.0.5"));
-  t.attach(b, db, ip("10.0.0.6"));
-  t.attach(dst, db, ip("10.0.0.7"));
-  t.attach(dst, target, ip("10.0.1.1"));
+  TopologyBuilder builder;
+  const NodeId src = builder.add_router("src");
+  const NodeId a = builder.add_router("a");
+  const NodeId b = builder.add_router("b");
+  const NodeId dst = builder.add_router("dst");
+  const SubnetId sa = builder.add_subnet(pfx("10.0.0.0/31"));
+  const SubnetId sb = builder.add_subnet(pfx("10.0.0.2/31"));
+  const SubnetId da = builder.add_subnet(pfx("10.0.0.4/31"));
+  const SubnetId db = builder.add_subnet(pfx("10.0.0.6/31"));
+  const SubnetId target = builder.add_subnet(pfx("10.0.1.0/30"));
+  builder.attach(src, sa, ip("10.0.0.0"));
+  builder.attach(a, sa, ip("10.0.0.1"));
+  builder.attach(src, sb, ip("10.0.0.2"));
+  builder.attach(b, sb, ip("10.0.0.3"));
+  builder.attach(a, da, ip("10.0.0.4"));
+  builder.attach(dst, da, ip("10.0.0.5"));
+  builder.attach(b, db, ip("10.0.0.6"));
+  builder.attach(dst, db, ip("10.0.0.7"));
+  builder.attach(dst, target, ip("10.0.1.1"));
+  const Topology t = std::move(builder).build();
 
   RoutingTable routes(t);
   EXPECT_EQ(routes.distance(src, target), 2);
@@ -88,18 +90,19 @@ TEST(Routing, EqualCostPathsYieldMultipleNextHops) {
 TEST(Routing, HostsDoNotForwardTransit) {
   // a -- host -- b: the only "path" from a to b runs through a host, so b's
   // subnet must be unreachable from a.
-  Topology t;
-  const NodeId a = t.add_router("a");
-  const NodeId h = t.add_host("h");
-  const NodeId b = t.add_router("b");
-  const SubnetId s1 = t.add_subnet(pfx("10.0.0.0/31"));
-  const SubnetId s2 = t.add_subnet(pfx("10.0.0.2/31"));
-  const SubnetId leaf = t.add_subnet(pfx("10.0.1.0/30"));
-  t.attach(a, s1, ip("10.0.0.0"));
-  t.attach(h, s1, ip("10.0.0.1"));
-  t.attach(h, s2, ip("10.0.0.2"));
-  t.attach(b, s2, ip("10.0.0.3"));
-  t.attach(b, leaf, ip("10.0.1.1"));
+  TopologyBuilder builder;
+  const NodeId a = builder.add_router("a");
+  const NodeId h = builder.add_host("h");
+  const NodeId b = builder.add_router("b");
+  const SubnetId s1 = builder.add_subnet(pfx("10.0.0.0/31"));
+  const SubnetId s2 = builder.add_subnet(pfx("10.0.0.2/31"));
+  const SubnetId leaf = builder.add_subnet(pfx("10.0.1.0/30"));
+  builder.attach(a, s1, ip("10.0.0.0"));
+  builder.attach(h, s1, ip("10.0.0.1"));
+  builder.attach(h, s2, ip("10.0.0.2"));
+  builder.attach(b, s2, ip("10.0.0.3"));
+  builder.attach(b, leaf, ip("10.0.1.1"));
+  const Topology t = std::move(builder).build();
 
   RoutingTable routes(t);
   EXPECT_EQ(routes.distance(a, leaf), RoutingTable::kUnreachable);
@@ -223,7 +226,7 @@ struct Shape {
 RandomTopology random_topology(std::uint64_t seed, const Shape& shape = {}) {
   util::Rng rng(seed);
   RandomTopology out;
-  Topology& t = out.topo;
+  TopologyBuilder t;
   std::vector<std::uint32_t> next_host;  // by SubnetId: next free address
   const auto lan = [&] {
     const SubnetId id = t.add_subnet(net::Prefix::covering(
@@ -283,6 +286,7 @@ RandomTopology random_topology(std::uint64_t seed, const Shape& shape = {}) {
     }
     if (t.node(h).interfaces.size() > 1) ++out.multi_homed_hosts;
   }
+  out.topo = std::move(t).build();
   return out;
 }
 
@@ -329,7 +333,7 @@ TEST(Routing, RoutesMatchFullGraphBfsAcrossBlockBoundaries) {
 // A chain of routers one /31 apart, with a host on a stub LAN at each end:
 // the depth of a chain is the number of BFS levels a block's pass runs.
 Topology router_chain(std::uint32_t routers) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId head_host = t.add_host("head");
   std::vector<NodeId> chain;
   for (std::uint32_t i = 0; i < routers; ++i)
@@ -348,7 +352,7 @@ Topology router_chain(std::uint32_t routers) {
     t.attach(chain[i], link, net::Ipv4Addr(base));
     t.attach(chain[i + 1], link, net::Ipv4Addr(base + 1));
   }
-  return t;
+  return std::move(t).build();
 }
 
 TEST(Routing, RoutesMatchFullGraphBfsOnRouterChains) {
@@ -362,44 +366,72 @@ TEST(Routing, RoutesMatchFullGraphBfsOnRouterChains) {
   }
 }
 
+// Every change to a topology is a new snapshot with a table of its own, so
+// no table routes over a plane of an older snapshot.
 TEST(Routing, CacheInvalidatesOnTopologyChange) {
-  Topology t;
-  const NodeId a = t.add_router("a");
-  const NodeId b = t.add_router("b");
-  const SubnetId s = t.add_subnet(pfx("10.0.0.0/31"));
-  const SubnetId leaf = t.add_subnet(pfx("10.0.1.0/30"));
-  t.attach(a, s, ip("10.0.0.0"));
-  t.attach(b, leaf, ip("10.0.1.1"));
+  // A builder cannot take a router out of forwarding, so that change
+  // rebuilds the network with b built as a host. Ids follow creation order,
+  // so they agree across rebuilds.
+  NodeId a, b, c;
+  SubnetId s, leaf, far;
+  const auto island = [&](bool b_forwards) {
+    TopologyBuilder next;
+    a = next.add_router("a");
+    b = b_forwards ? next.add_router("b") : next.add_host("b");
+    s = next.add_subnet(pfx("10.0.0.0/31"));
+    leaf = next.add_subnet(pfx("10.0.1.0/30"));
+    next.attach(a, s, ip("10.0.0.0"));
+    next.attach(b, leaf, ip("10.0.1.1"));
+    return next;
+  };
+  const auto connect = [&](TopologyBuilder& next) {
+    next.attach(b, s, ip("10.0.0.1"));  // connect the island
+  };
+  const auto extend = [&](TopologyBuilder& next) {  // a second LAN behind b
+    c = next.add_router("c");
+    const SubnetId bc = next.add_subnet(pfx("10.0.0.2/31"));
+    far = next.add_subnet(pfx("10.0.2.0/29"));
+    next.attach(b, bc, ip("10.0.0.2"));
+    next.attach(c, bc, ip("10.0.0.3"));
+    next.attach(c, far, ip("10.0.2.1"));
+  };
 
-  RoutingTable routes(t);
-  EXPECT_EQ(routes.distance(a, leaf), RoutingTable::kUnreachable);
-  t.attach(b, s, ip("10.0.0.1"));  // connect the island
-  EXPECT_EQ(routes.distance(a, leaf), 1);
+  Topology t = island(/*b_forwards=*/true).build();
+  EXPECT_EQ(RoutingTable(t).distance(a, leaf), RoutingTable::kUnreachable);
+  test::edit(t, connect);
+  EXPECT_EQ(RoutingTable(t).distance(a, leaf), 1);
 
-  // Rows toward both subnets are cached now. Put a second LAN behind b and
-  // route across it, then take b out of forwarding: a loses the far LAN,
-  // while b, still on the leaf as a multi-homed host, delivers onto it.
-  const NodeId c = t.add_router("c");
-  const SubnetId bc = t.add_subnet(pfx("10.0.0.2/31"));
-  const SubnetId far = t.add_subnet(pfx("10.0.2.0/29"));
-  t.attach(b, bc, ip("10.0.0.2"));
-  t.attach(c, bc, ip("10.0.0.3"));
-  t.attach(c, far, ip("10.0.2.1"));
-  EXPECT_EQ(routes.distance(a, far), 2);
-  EXPECT_EQ(routes.distance(c, leaf), 1);
-  t.node_mut(b).is_host = true;  // b stops forwarding ...
-  t.add_subnet(pfx("10.0.3.0/30"));  // ... once a mutation bumps the version
-  EXPECT_EQ(routes.distance(a, far), RoutingTable::kUnreachable);
-  EXPECT_EQ(routes.distance(c, leaf), 1);
-  EXPECT_EQ(routes.distance(a, leaf), 1);
-  expect_routes_match(routes, t, 1);
+  // Route across the LAN behind b, then take b out of forwarding: a loses
+  // the far LAN, while b, still on the leaf as a multi-homed host, delivers
+  // onto it.
+  test::edit(t, extend);
+  {
+    const RoutingTable routes(t);
+    EXPECT_EQ(routes.distance(a, far), 2);
+    EXPECT_EQ(routes.distance(c, leaf), 1);
+  }
+  TopologyBuilder rebuilt = island(/*b_forwards=*/false);
+  connect(rebuilt);
+  extend(rebuilt);
+  t = std::move(rebuilt).build();
+  {
+    const RoutingTable routes(t);
+    EXPECT_EQ(routes.distance(a, far), RoutingTable::kUnreachable);
+    EXPECT_EQ(routes.distance(c, leaf), 1);
+    EXPECT_EQ(routes.distance(a, leaf), 1);
+    expect_routes_match(routes, t, 1);
+  }
 
   // A multi-homed host on a new LAN of a's and on the far LAN delivers for a.
-  const NodeId h = t.add_host("h");
-  const SubnetId ah = t.add_subnet(pfx("10.0.0.4/31"));
-  t.attach(a, ah, ip("10.0.0.4"));
-  t.attach(h, ah, ip("10.0.0.5"));
-  t.attach(h, far, ip("10.0.2.2"));
+  NodeId h;
+  test::edit(t, [&](TopologyBuilder& next) {
+    h = next.add_host("h");
+    const SubnetId ah = next.add_subnet(pfx("10.0.0.4/31"));
+    next.attach(a, ah, ip("10.0.0.4"));
+    next.attach(h, ah, ip("10.0.0.5"));
+    next.attach(h, far, ip("10.0.2.2"));
+  });
+  const RoutingTable routes(t);
   EXPECT_EQ(routes.distance(a, far), 1);
   const auto hops = routes.next_hops(a, far);
   ASSERT_EQ(hops.size(), 1u);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "sim/network.h"
+#include "sim/routing.h"
 #include "testutil.h"
 
 namespace tn::sim {
@@ -11,7 +15,7 @@ using test::ip;
 using test::pfx;
 
 TEST(Topology, AddAndLookupEntities) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId r = t.add_router("r");
   const NodeId h = t.add_host("h");
   EXPECT_FALSE(t.node(r).is_host);
@@ -27,7 +31,7 @@ TEST(Topology, AddAndLookupEntities) {
 }
 
 TEST(Topology, RejectsOverlappingSubnets) {
-  Topology t;
+  TopologyBuilder t;
   t.add_subnet(pfx("10.0.0.0/24"));
   EXPECT_THROW(t.add_subnet(pfx("10.0.0.128/25")), std::invalid_argument);
   EXPECT_THROW(t.add_subnet(pfx("10.0.0.0/16")), std::invalid_argument);
@@ -36,7 +40,7 @@ TEST(Topology, RejectsOverlappingSubnets) {
 }
 
 TEST(Topology, AttachValidatesAddress) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId r = t.add_router("r");
   const NodeId r2 = t.add_router("r2");
   const SubnetId s = t.add_subnet(pfx("10.0.0.0/29"));
@@ -53,7 +57,7 @@ TEST(Topology, AttachValidatesAddress) {
 }
 
 TEST(Topology, Slash31AllowsBothAddresses) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId a = t.add_router("a");
   const NodeId b = t.add_router("b");
   const SubnetId s = t.add_subnet(pfx("10.0.0.0/31"));
@@ -62,7 +66,7 @@ TEST(Topology, Slash31AllowsBothAddresses) {
 }
 
 TEST(Topology, FindSubnetContainingUsesLongestMatch) {
-  Topology t;
+  TopologyBuilder t;
   const SubnetId s30 = t.add_subnet(pfx("10.0.0.0/30"));
   const SubnetId s24 = t.add_subnet(pfx("10.1.0.0/24"));
   EXPECT_EQ(t.find_subnet_containing(ip("10.0.0.2")), s30);
@@ -71,7 +75,7 @@ TEST(Topology, FindSubnetContainingUsesLongestMatch) {
 }
 
 TEST(Topology, ResponseConfigValidation) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId r = t.add_router("r");
   const SubnetId s = t.add_subnet(pfx("10.0.0.0/30"));
   const InterfaceId i = t.attach(r, s, ip("10.0.0.1"));
@@ -91,7 +95,7 @@ TEST(Topology, ResponseConfigValidation) {
 }
 
 TEST(Topology, DefaultInterfaceMustBelongToNode) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId r = t.add_router("r");
   const NodeId other = t.add_router("other");
   const SubnetId s = t.add_subnet(pfx("10.0.0.0/30"));
@@ -104,7 +108,7 @@ TEST(Topology, DefaultInterfaceMustBelongToNode) {
 }
 
 TEST(Topology, PerProtocolConfigsAreIndependent) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId r = t.add_router("r");
   ResponseConfig nil;
   nil.direct = ResponsePolicy::kNil;
@@ -127,7 +131,7 @@ TEST(Topology, AdjacencyListsAllLanNeighbors) {
 }
 
 TEST(Topology, AdjacencyTracksMutation) {
-  Topology t;
+  TopologyBuilder t;
   const NodeId a = t.add_router("a");
   const NodeId b = t.add_router("b");
   const SubnetId s = t.add_subnet(pfx("10.0.0.0/31"));
@@ -136,6 +140,65 @@ TEST(Topology, AdjacencyTracksMutation) {
   t.attach(b, s, ip("10.0.0.1"));
   ASSERT_EQ(t.links_from(a).size(), 1u);
   EXPECT_EQ(t.links_from(a)[0].neighbor, b);
+}
+
+// Routing state is computed once per snapshot, so nothing may route over a
+// topology that can still change.
+static_assert(!std::is_constructible_v<Network, const TopologyBuilder&>);
+static_assert(!std::is_constructible_v<Network, TopologyBuilder&>);
+static_assert(!std::is_constructible_v<RoutingTable, const TopologyBuilder&>);
+static_assert(!std::is_constructible_v<RoutingTable, TopologyBuilder&>);
+static_assert(!std::is_convertible_v<const TopologyBuilder&, const Topology&>);
+static_assert(std::is_constructible_v<Network, const Topology&>);
+static_assert(std::is_constructible_v<RoutingTable, const Topology&>);
+
+TEST(Topology, BuildFreezesWhatTheBuilderSet) {
+  TopologyBuilder b;
+  const NodeId r = b.add_router("r");
+  const NodeId h = b.add_host("h");
+  const SubnetId s = b.add_subnet(pfx("10.0.0.0/30"));
+  const InterfaceId ri = b.attach(r, s, ip("10.0.0.1"));
+  const InterfaceId hi = b.attach(h, s, ip("10.0.0.2"));
+  b.subnet_mut(s).firewalled = true;
+  b.interface_mut(hi).responsive = false;
+  b.interface_mut(ri).flakiness = 0.25;
+  b.set_per_packet_load_balancing(r, true);
+  ResponseConfig nil;
+  nil.direct = ResponsePolicy::kNil;
+  b.set_response_config(r, net::ProbeProtocol::kUdp, nil);
+
+  const Topology t = std::move(b).build();
+  EXPECT_EQ(t.node_count(), 2u);
+  EXPECT_TRUE(t.node(h).is_host);
+  EXPECT_TRUE(t.subnet(s).firewalled);
+  EXPECT_FALSE(t.interface(hi).responsive);
+  EXPECT_EQ(t.interface(ri).flakiness, 0.25);
+  EXPECT_TRUE(t.per_packet_load_balancing(r));
+  EXPECT_FALSE(t.per_packet_load_balancing(h));
+  EXPECT_EQ(t.node(r).config_for(net::ProbeProtocol::kUdp).direct,
+            ResponsePolicy::kNil);
+  EXPECT_EQ(t.find_interface(ip("10.0.0.2")), hi);
+  EXPECT_EQ(t.find_subnet_containing(ip("10.0.0.3")), s);
+}
+
+// Freezing and reopening hand the storage over; neither copies it.
+TEST(Topology, FreezeAndReopenMoveTheStorage) {
+  test::Fig3Topology f;
+  const Node* node = &f.topo.node(f.r2);
+  const Interface* iface = &f.topo.interface(0);
+
+  TopologyBuilder reopened(std::move(f.topo));
+  EXPECT_EQ(&reopened.node(f.r2), node);
+  EXPECT_EQ(&reopened.interface(0), iface);
+
+  const Topology refrozen = std::move(reopened).build();
+  EXPECT_EQ(&refrozen.node(f.r2), node);
+  EXPECT_EQ(&refrozen.interface(0), iface);
+  const test::Fig3Topology fresh;
+  EXPECT_EQ(refrozen.find_interface(f.pivot3),
+            fresh.topo.find_interface(f.pivot3));
+  EXPECT_EQ(refrozen.find_subnet_containing(f.far_fringe),
+            fresh.topo.find_subnet_containing(f.far_fringe));
 }
 
 TEST(Topology, InterfaceOnFindsAttachment) {

@@ -6,6 +6,8 @@
 // be exercised: an ingress fringe (other interfaces of the ingress router), a
 // close fringe (interface of R7 on a LAN the ingress router is directly on),
 // and a far fringe (interface of R4 on a LAN the ingress router is not on).
+//
+// test::edit derives a variant of any frozen topology.
 #pragma once
 
 #include "net/ipv4.h"
@@ -27,6 +29,16 @@ inline net::Prefix pfx(std::string_view text) {
   return *parsed;
 }
 
+// Replaces `topo` with a variant of itself: reopens the snapshot by move,
+// applies `change` to the builder and freezes the result. A Network or
+// RoutingTable built on the old snapshot must not be used afterwards.
+template <typename Change>
+void edit(sim::Topology& topo, Change change) {
+  sim::TopologyBuilder builder(std::move(topo));
+  change(builder);
+  topo = std::move(builder).build();
+}
+
 // Hop distances from vantage V: G=1, R1=2, R2=3 (ingress of S), members of S
 // (R3, R4, R6) = 4, R5 = 5, R7 = 4 (via the close-fringe LAN).
 struct Fig3Topology {
@@ -43,41 +55,43 @@ struct Fig3Topology {
   net::Ipv4Addr far_fringe = ip("10.0.4.1");    // R4 on a LAN off S, hop 4
 
   Fig3Topology() {
-    vantage = topo.add_host("V");
-    gateway = topo.add_router("G");
-    r1 = topo.add_router("R1");
-    r2 = topo.add_router("R2");
-    r3 = topo.add_router("R3");
-    r4 = topo.add_router("R4");
-    r6 = topo.add_router("R6");
-    r5 = topo.add_router("R5");
-    r7 = topo.add_router("R7");
+    sim::TopologyBuilder builder;
+    vantage = builder.add_host("V");
+    gateway = builder.add_router("G");
+    r1 = builder.add_router("R1");
+    r2 = builder.add_router("R2");
+    r3 = builder.add_router("R3");
+    r4 = builder.add_router("R4");
+    r6 = builder.add_router("R6");
+    r5 = builder.add_router("R5");
+    r7 = builder.add_router("R7");
 
-    lan_v = topo.add_subnet(pfx("10.0.0.0/30"));
-    topo.attach(vantage, lan_v, ip("10.0.0.1"));
-    topo.attach(gateway, lan_v, ip("10.0.0.2"));
+    lan_v = builder.add_subnet(pfx("10.0.0.0/30"));
+    builder.attach(vantage, lan_v, ip("10.0.0.1"));
+    builder.attach(gateway, lan_v, ip("10.0.0.2"));
 
-    const auto g_r1 = topo.add_subnet(pfx("10.0.1.0/31"));
-    topo.attach(gateway, g_r1, ip("10.0.1.0"));
-    topo.attach(r1, g_r1, ip("10.0.1.1"));
+    const auto g_r1 = builder.add_subnet(pfx("10.0.1.0/31"));
+    builder.attach(gateway, g_r1, ip("10.0.1.0"));
+    builder.attach(r1, g_r1, ip("10.0.1.1"));
 
-    const auto r1_r2 = topo.add_subnet(pfx("10.0.2.0/31"));
-    topo.attach(r1, r1_r2, ip("10.0.2.0"));
-    topo.attach(r2, r1_r2, ip("10.0.2.1"));
+    const auto r1_r2 = builder.add_subnet(pfx("10.0.2.0/31"));
+    builder.attach(r1, r1_r2, ip("10.0.2.0"));
+    builder.attach(r2, r1_r2, ip("10.0.2.1"));
 
-    s = topo.add_subnet(pfx("192.168.1.0/28"));
-    topo.attach(r2, s, contra);
-    topo.attach(r3, s, pivot3);
-    topo.attach(r4, s, pivot4);
-    topo.attach(r6, s, pivot6);
+    s = builder.add_subnet(pfx("192.168.1.0/28"));
+    builder.attach(r2, s, contra);
+    builder.attach(r3, s, pivot3);
+    builder.attach(r4, s, pivot4);
+    builder.attach(r6, s, pivot6);
 
-    close_lan = topo.add_subnet(pfx("10.0.3.0/30"));
-    topo.attach(r2, close_lan, ip("10.0.3.1"));
-    topo.attach(r7, close_lan, close_fringe);
+    close_lan = builder.add_subnet(pfx("10.0.3.0/30"));
+    builder.attach(r2, close_lan, ip("10.0.3.1"));
+    builder.attach(r7, close_lan, close_fringe);
 
-    far_lan = topo.add_subnet(pfx("10.0.4.0/30"));
-    topo.attach(r4, far_lan, far_fringe);
-    topo.attach(r5, far_lan, ip("10.0.4.2"));
+    far_lan = builder.add_subnet(pfx("10.0.4.0/30"));
+    builder.attach(r4, far_lan, far_fringe);
+    builder.attach(r5, far_lan, ip("10.0.4.2"));
+    topo = std::move(builder).build();
   }
 };
 

@@ -433,10 +433,12 @@ int main(int argc, char** argv) {
     config.adaptive.enabled = adaptive_window;
     if (scheduler) config.clock = &*scheduler;
     core::TracenetSession session(*active, config);
-    std::uint64_t ordinal = 0;
-    for (const net::Ipv4Addr target : targets) {
-      if (tracer)
-        session.set_recorder(tracer->open(ordinal++, target.to_string()));
+    for (std::size_t index = 0; index < targets.size(); ++index) {
+      const net::Ipv4Addr target = targets[index];
+      // The routing-churn epoch by schedule position, stamped as the
+      // campaign drivers stamp it (sim/faults.h); --live has no network.
+      if (network) session.set_epoch(network->faults().epoch_of(index));
+      if (tracer) session.set_recorder(tracer->open(index, target.to_string()));
       sessions.push_back(session.run(target));
       std::printf("%s\n", sessions.back().to_string().c_str());
       for (const auto& subnet : sessions.back().subnets)
