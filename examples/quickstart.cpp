@@ -68,7 +68,8 @@ int main() {
   for (const core::ObservedSubnet& subnet : result.subnets)
     std::printf("  hop %d: %s  [%zu members, stop: %s]\n",
                 subnet.pivot_distance, subnet.to_string().c_str(),
-                subnet.members.size(), core::to_string(subnet.stop).c_str());
+                subnet.members.size(),
+                std::string(core::to_string(subnet.stop)).c_str());
 
   // Contrast with what a plain traceroute saw.
   std::printf("\ntraceroute saw %zu addresses; tracenet collected ",

@@ -47,12 +47,8 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
   trace::Recorder* rec =
       trace::on(config_.recorder, trace::Level::kSession) ? config_.recorder
                                                           : nullptr;
-  if (rec != nullptr) {
-    std::string attrs;
-    trace::attr_str(attrs, "pivot", ctx.pivot.to_string());
-    trace::attr_num(attrs, "jh", ctx.jh);
-    rec->emit("explore", attrs);
-  }
+  if (rec != nullptr)
+    rec->event("explore").addr("pivot", ctx.pivot).num("jh", ctx.jh);
 
   // Graceful degradation on lossy networks: stop growing (keeping what was
   // collected) once this exploration has spent its wire-probe budget.
@@ -99,16 +95,14 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
 
       const Verdict verdict = test_candidate(candidate, ctx);
       if (rec != nullptr) {
-        std::string attrs;
-        trace::attr_str(attrs, "l", candidate.to_string());
-        trace::attr_num(attrs, "m", m);
-        trace::attr_str(attrs, "verdict",
-                        verdict == Verdict::kAdd     ? "add"
-                        : verdict == Verdict::kSkip  ? "skip"
-                                                     : "shrink");
+        trace::Event event = rec->event("heur");
+        event.addr("l", candidate)
+            .num("m", m)
+            .word("verdict", verdict == Verdict::kAdd    ? "add"
+                             : verdict == Verdict::kSkip ? "skip"
+                                                         : "shrink");
         if (verdict == Verdict::kShrink)
-          trace::attr_str(attrs, "fired", heuristic_code(ctx.fired));
-        rec->emit("heur", attrs);
+          event.word("fired", heuristic_code(ctx.fired));
       }
       if (verdict == Verdict::kAdd) {
         members.insert(candidate);
@@ -127,13 +121,9 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
     }
     if (shrunk || out_of_budget) break;
 
-    if (rec != nullptr) {
-      std::string attrs;
-      trace::attr_num(attrs, "m", m);
-      trace::attr_num(attrs, "members",
-                      static_cast<std::int64_t>(members.size()));
-      rec->emit("level", attrs);
-    }
+    if (rec != nullptr)
+      rec->event("level").num("m", m).num(
+          "members", static_cast<std::int64_t>(members.size()));
 
     // Algorithm 1 lines 19-21: stop when at most half the level's address
     // space was collected.
@@ -157,11 +147,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
     if (ctx.contra_pivot && !half.contains(*ctx.contra_pivot))
       ctx.contra_pivot.reset();
     prefix = minimal_covering(members, ctx.pivot);
-    if (rec != nullptr) {
-      std::string attrs;
-      trace::attr_str(attrs, "prefix", prefix.to_string());
-      rec->emit("h9", attrs);
-    }
+    if (rec != nullptr) rec->event("h9").prefix("prefix", prefix);
   }
 
   ObservedSubnet out;
@@ -181,19 +167,16 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
     // probes_used is deliberately absent: it counts wire probes, which vary
     // with probe_window (prescan speculation), and the session journal is
     // pinned byte-identical across windows.
-    std::string attrs;
-    trace::attr_str(attrs, "prefix", out.prefix.to_string());
-    trace::attr_num(attrs, "members",
-                    static_cast<std::int64_t>(out.members.size()));
-    trace::attr_str(attrs, "stop", to_string(stop));
-    trace::attr_str(attrs, "fired", heuristic_code(ctx.fired));
-    if (ctx.contra_pivot)
-      trace::attr_str(attrs, "contra", ctx.contra_pivot->to_string());
-    rec->emit("subnet", attrs);
+    trace::Event event = rec->event("subnet");
+    event.prefix("prefix", out.prefix)
+        .num("members", static_cast<std::int64_t>(out.members.size()))
+        .word("stop", to_string(stop))
+        .word("fired", heuristic_code(ctx.fired));
+    if (ctx.contra_pivot) event.addr("contra", *ctx.contra_pivot);
   }
 
   util::log(util::LogLevel::kDebug, "explore", "pivot ", ctx.pivot, " -> ",
-            out, " (", to_string(stop), ")");
+            out, " (", stop, ")");
   return out;
 }
 

@@ -35,7 +35,7 @@ MultipathResult MultipathDiscovery::run(net::Ipv4Addr destination) {
     for (int flow = 0; flow < config_.flows_per_hop; ++flow) {
       const net::ProbeReply reply = engine_.indirect(
           destination, static_cast<std::uint8_t>(ttl), config_.protocol,
-          static_cast<std::uint16_t>(flow + 1));
+          static_cast<std::uint16_t>(flow + 1), config_.epoch);
       if (reply.is_none()) {
         all_flows_delivered = false;
         continue;
@@ -86,8 +86,10 @@ MultipathSessionResult MultipathTracenetSession::run(
 
   PositioningConfig pos_config;
   pos_config.protocol = config_.protocol;
+  pos_config.epoch = config_.epoch;
   ExplorerConfig explore_config;
   explore_config.protocol = config_.protocol;
+  explore_config.epoch = config_.epoch;
   SubnetPositioner positioner(cached, pos_config);
   SubnetExplorer explorer(cached, explore_config);
 

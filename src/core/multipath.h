@@ -28,6 +28,11 @@ struct MultipathConfig {
   int flows_per_hop = 16;
   int max_ttl = 32;
   int anonymous_gap_limit = 4;
+  // Routing epoch stamped on every probe (net::Probe::epoch), as
+  // SessionConfig::epoch: under a routing-churn fault spec (sim/faults.h)
+  // the campaign driver sets it per target from
+  // FaultSpec::epoch_of(target_index); 0 otherwise.
+  std::uint8_t epoch = 0;
 };
 
 struct MultipathHop {
@@ -74,6 +79,10 @@ class MultipathTracenetSession {
                            MultipathConfig config = {});
 
   MultipathSessionResult run(net::Ipv4Addr destination);
+
+  // Routing epoch for subsequent runs (routing churn, sim/faults.h), as
+  // TracenetSession::set_epoch.
+  void set_epoch(std::uint8_t epoch) noexcept { config_.epoch = epoch; }
 
  private:
   probe::ProbeEngine& wire_engine_;

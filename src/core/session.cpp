@@ -99,11 +99,8 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
 
   trace::Recorder* rec =
       trace::on(recorder_, trace::Level::kSession) ? recorder_ : nullptr;
-  if (rec != nullptr) {
-    std::string attrs;
-    trace::attr_str(attrs, "proto", net::to_string(config_.protocol));
-    rec->emit("session", attrs);
-  }
+  if (rec != nullptr)
+    rec->event("session").word("proto", net::to_string(config_.protocol));
 
   Traceroute tracer(*top_, config_.trace);
   result.path = tracer.run(destination);
@@ -133,11 +130,7 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
       if (!covered && config_.covered_externally && config_.covered_externally(v))
         covered = true;
       if (covered) {
-        if (rec != nullptr) {
-          std::string attrs;
-          trace::attr_str(attrs, "addr", v.to_string());
-          rec->emit("hop_skip", attrs);
-        }
+        if (rec != nullptr) rec->event("hop_skip").addr("addr", v);
         previous = v;
         continue;
       }
@@ -145,17 +138,14 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
 
     const Position position = positioner.position(previous, v, hop.ttl);
     if (rec != nullptr) {
-      std::string attrs;
-      trace::attr_str(attrs, "v", v.to_string());
-      trace::attr_num(attrs, "d", hop.ttl);
-      trace::attr_str(attrs, "pivot", position.pivot.to_string());
-      trace::attr_num(attrs, "jh", position.pivot_distance);
-      trace::attr_bool(attrs, "on_path", position.on_trace_path);
-      if (position.ingress)
-        trace::attr_str(attrs, "ingress", position.ingress->to_string());
-      if (position.trace_entry)
-        trace::attr_str(attrs, "entry", position.trace_entry->to_string());
-      rec->emit("position", attrs);
+      trace::Event event = rec->event("position");
+      event.addr("v", v)
+          .num("d", hop.ttl)
+          .addr("pivot", position.pivot)
+          .num("jh", position.pivot_distance)
+          .flag("on_path", position.on_trace_path);
+      if (position.ingress) event.addr("ingress", *position.ingress);
+      if (position.trace_entry) event.addr("entry", *position.trace_entry);
     }
     result.subnets.push_back(explorer.explore(position));
     previous = v;
@@ -172,13 +162,10 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
     // wire_probes stays out of the journal: it varies with probe_window
     // (speculative prescan waves), and the session journal is pinned
     // byte-identical across windows.
-    std::string attrs;
-    trace::attr_num(attrs, "subnets",
-                    static_cast<std::int64_t>(result.subnets.size()));
-    trace::attr_num(attrs, "hops",
-                    static_cast<std::int64_t>(result.path.hops.size()));
-    trace::attr_bool(attrs, "reached", result.path.destination_reached);
-    rec->emit("session_done", attrs);
+    rec->event("session_done")
+        .num("subnets", static_cast<std::int64_t>(result.subnets.size()))
+        .num("hops", static_cast<std::int64_t>(result.path.hops.size()))
+        .flag("reached", result.path.destination_reached);
   }
   util::log(util::LogLevel::kInfo, "session", "collected ",
             result.subnets.size(), " subnets toward ",

@@ -57,10 +57,8 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
     }
     path.hops.push_back(TraceHop{ttl, reply});
     if (trace::on(rec, trace::Level::kSession)) {
-      std::string attrs;
-      trace::attr_num(attrs, "ttl", ttl);
-      probe::append_reply_attrs(attrs, reply);
-      rec->emit("hop", attrs);
+      trace::Event event = rec->event("hop");
+      probe::append_reply_attrs(event.num("ttl", ttl), reply);
     }
 
     // An alive-type reply to a TTL-scoped probe can only mean the probe was
@@ -98,13 +96,11 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
       break;
     }
   }
-  if (trace::on(rec, trace::Level::kSession)) {
-    std::string attrs;
-    trace::attr_num(attrs, "hops", static_cast<std::int64_t>(path.hops.size()));
-    trace::attr_bool(attrs, "reached", path.destination_reached);
-    trace::attr_str(attrs, "reason", stop_reason);
-    rec->emit("trace_done", attrs);
-  }
+  if (trace::on(rec, trace::Level::kSession))
+    rec->event("trace_done")
+        .num("hops", static_cast<std::int64_t>(path.hops.size()))
+        .flag("reached", path.destination_reached)
+        .word("reason", stop_reason);
   return path;
 }
 

@@ -4,7 +4,7 @@
 
 namespace tn::core {
 
-std::string to_string(StopReason reason) {
+std::string_view to_string(StopReason reason) noexcept {
   switch (reason) {
     case StopReason::kShrink: return "shrink";
     case StopReason::kUnderUtilized: return "under-utilized";
@@ -12,6 +12,10 @@ std::string to_string(StopReason reason) {
     case StopReason::kProbeBudget: return "probe-budget";
   }
   return "?";
+}
+
+std::ostream& operator<<(std::ostream& os, StopReason reason) {
+  return os << to_string(reason);
 }
 
 std::string to_string(Heuristic heuristic) {

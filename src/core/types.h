@@ -26,7 +26,12 @@ enum class StopReason : std::uint8_t {
   kProbeBudget,    // exploration hit its wire-probe budget (lossy networks)
 };
 
-std::string to_string(StopReason reason);
+// The stop reason's name, e.g. "under-utilized": a static literal.
+std::string_view to_string(StopReason reason) noexcept;
+
+// Streams to_string(reason), so a log line that is switched off formats
+// nothing.
+std::ostream& operator<<(std::ostream& os, StopReason reason);
 
 // Which heuristic fired a stop-and-shrink, for diagnostics and the ablation
 // benches. kNone when growth stopped for another reason.

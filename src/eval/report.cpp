@@ -20,7 +20,7 @@ std::string subnets_csv(const VantageObservations& observations) {
                    subnet.ingress ? subnet.ingress->to_string() : "",
                    std::to_string(subnet.pivot_distance),
                    subnet.on_trace_path ? "1" : "0",
-                   core::to_string(subnet.stop)});
+                   std::string(core::to_string(subnet.stop))});
   }
   return table.render_csv();
 }

@@ -1,19 +1,44 @@
 #include "net/ipv4.h"
 
-#include <cstdio>
 #include <ostream>
 
 namespace tn::net {
 
+namespace {
+
+// Writes `octet` (0..255) in decimal without leading zeros.
+char* format_octet(char* out, std::uint32_t octet) noexcept {
+  if (octet >= 100) {
+    *out++ = static_cast<char>('0' + octet / 100);
+    octet %= 100;
+    *out++ = static_cast<char>('0' + octet / 10);
+  } else if (octet >= 10) {
+    *out++ = static_cast<char>('0' + octet / 10);
+  }
+  *out++ = static_cast<char>('0' + octet % 10);
+  return out;
+}
+
+}  // namespace
+
+char* Ipv4Addr::format(char* out) const noexcept {
+  out = format_octet(out, value_ >> 24);
+  *out++ = '.';
+  out = format_octet(out, (value_ >> 16) & 0xFF);
+  *out++ = '.';
+  out = format_octet(out, (value_ >> 8) & 0xFF);
+  *out++ = '.';
+  return format_octet(out, value_ & 0xFF);
+}
+
 std::string Ipv4Addr::to_string() const {
-  char buffer[16];
-  std::snprintf(buffer, sizeof buffer, "%u.%u.%u.%u", (value_ >> 24) & 0xFF,
-                (value_ >> 16) & 0xFF, (value_ >> 8) & 0xFF, value_ & 0xFF);
-  return buffer;
+  char text[kMaxText];
+  return std::string(text, format(text));
 }
 
 std::ostream& operator<<(std::ostream& os, Ipv4Addr addr) {
-  return os << addr.to_string();
+  char text[Ipv4Addr::kMaxText];
+  return os << std::string_view(text, addr.format(text));
 }
 
 std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) noexcept {

@@ -28,6 +28,14 @@ class Ipv4Addr {
   constexpr std::uint32_t value() const noexcept { return value_; }
   constexpr bool is_unset() const noexcept { return value_ == 0; }
 
+  // The longest dotted quad, "255.255.255.255".
+  static constexpr std::size_t kMaxText = 15;
+
+  // Writes the dotted quad at `out`, which has room for kMaxText chars, and
+  // returns one past the last char written. to_string, the stream operator
+  // and the trace journal all format through it.
+  char* format(char* out) const noexcept;
+
   // "a.b.c.d"
   std::string to_string() const;
 
@@ -56,7 +64,8 @@ class Ipv4Addr {
   std::uint32_t value_ = 0;
 };
 
-// Streams to_string(), so a log line that is switched off builds no string.
+// Streams the dotted quad, so a log line that is switched off builds no
+// string.
 std::ostream& operator<<(std::ostream& os, Ipv4Addr addr);
 
 }  // namespace tn::net

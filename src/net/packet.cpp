@@ -2,7 +2,7 @@
 
 namespace tn::net {
 
-std::string to_string(ProbeProtocol protocol) {
+std::string_view to_string(ProbeProtocol protocol) noexcept {
   switch (protocol) {
     case ProbeProtocol::kIcmp: return "ICMP";
     case ProbeProtocol::kUdp: return "UDP";
@@ -11,7 +11,7 @@ std::string to_string(ProbeProtocol protocol) {
   return "?";
 }
 
-std::string to_string(ResponseType type) {
+std::string_view to_string(ResponseType type) noexcept {
   switch (type) {
     case ResponseType::kNone: return "NONE";
     case ResponseType::kEchoReply: return "ECHO_REPLY";
@@ -34,7 +34,10 @@ bool is_alive_reply(ProbeProtocol protocol, ResponseType type) noexcept {
 
 std::string ProbeReply::to_string() const {
   if (is_none()) return "<none>";
-  return "<" + responder.to_string() + ", " + tn::net::to_string(type) + ">";
+  std::string text = "<" + responder.to_string() + ", ";
+  text += tn::net::to_string(type);
+  text += '>';
+  return text;
 }
 
 }  // namespace tn::net

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/ipv4.h"
 
@@ -23,7 +24,8 @@ enum class ProbeProtocol : std::uint8_t {
   kTcp,   // TCP SYN (second packet of the handshake in the paper's wording)
 };
 
-std::string to_string(ProbeProtocol protocol);
+// The protocol's name, "ICMP" / "UDP" / "TCP": a static literal.
+std::string_view to_string(ProbeProtocol protocol) noexcept;
 
 // The TTL used for direct probes: "large enough" per §3.1(i).
 inline constexpr std::uint8_t kDirectProbeTtl = 64;
@@ -39,7 +41,8 @@ enum class ResponseType : std::uint8_t {
   kTcpReset,         // TCP RST (alive, TCP probing)
 };
 
-std::string to_string(ResponseType type);
+// The response type's name, e.g. "TTL_EXCEEDED": a static literal.
+std::string_view to_string(ResponseType type) noexcept;
 
 // True when `type` is the protocol-appropriate "this address is alive" reply
 // to a *direct* probe: EchoReply for ICMP, PortUnreachable for UDP, TcpReset

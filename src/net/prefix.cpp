@@ -15,8 +15,17 @@ std::optional<Prefix> Prefix::parse(std::string_view text) noexcept {
   return covering(*addr, static_cast<int>(length));
 }
 
+char* Prefix::format(char* out) const noexcept {
+  out = network_.format(out);
+  *out++ = '/';
+  if (length_ >= 10) *out++ = static_cast<char>('0' + length_ / 10);
+  *out++ = static_cast<char>('0' + length_ % 10);
+  return out;
+}
+
 std::string Prefix::to_string() const {
-  return network_.to_string() + "/" + std::to_string(length_);
+  char text[kMaxText];
+  return std::string(text, format(text));
 }
 
 }  // namespace tn::net

@@ -85,6 +85,13 @@ class Prefix {
     return Ipv4Addr(network_.value() + static_cast<std::uint32_t>(index));
   }
 
+  // The longest prefix text, "255.255.255.255/32".
+  static constexpr std::size_t kMaxText = Ipv4Addr::kMaxText + 3;
+
+  // Writes "a.b.c.d/len" at `out`, which has room for kMaxText chars, and
+  // returns one past the last char written (see Ipv4Addr::format).
+  char* format(char* out) const noexcept;
+
   // "a.b.c.d/len"
   std::string to_string() const;
 

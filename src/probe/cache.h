@@ -138,12 +138,11 @@ class CachingProbeEngine final : public ProbeEngine {
       publish(key, *reply);
     }
     if (trace::on(recorder_, trace::Level::kProbe)) {
-      std::string attrs;
-      trace::attr_str(attrs, "dst", request.target.to_string());
-      trace::attr_num(attrs, "ttl", request.ttl);
-      trace::attr_bool(attrs, "cached", cached);
-      append_reply_attrs(attrs, *reply);
-      recorder_->emit("probe", attrs);
+      trace::Event event = recorder_->event("probe");
+      append_reply_attrs(event.addr("dst", request.target)
+                             .num("ttl", request.ttl)
+                             .flag("cached", cached),
+                         *reply);
     }
     return *reply;
   }
@@ -183,14 +182,12 @@ class CachingProbeEngine final : public ProbeEngine {
       for (const auto& [request_index, miss_index] : duplicates)
         replies[request_index] = fresh[miss_index];
     }
-    if (trace::on(recorder_, trace::Level::kProbe)) {
-      std::string attrs;
-      trace::attr_num(attrs, "n", static_cast<std::int64_t>(requests.size()));
-      trace::attr_num(attrs, "hits",
-                      static_cast<std::int64_t>(requests.size() - misses.size()));
-      trace::attr_num(attrs, "misses", static_cast<std::int64_t>(misses.size()));
-      recorder_->emit("wave", attrs);
-    }
+    if (trace::on(recorder_, trace::Level::kProbe))
+      recorder_->event("wave")
+          .num("n", static_cast<std::int64_t>(requests.size()))
+          .num("hits",
+               static_cast<std::int64_t>(requests.size() - misses.size()))
+          .num("misses", static_cast<std::int64_t>(misses.size()));
     return replies;
   }
 

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -21,13 +20,13 @@
 
 namespace tn::probe {
 
-// Appends the journal attributes describing `reply`: its response type, and
-// the responder address when there is one. Shared by every instrumented
-// layer that logs a reply (decorators, trace collection).
-inline void append_reply_attrs(std::string& out, const net::ProbeReply& reply) {
-  trace::attr_str(out, "reply", net::to_string(reply.type));
-  if (!reply.is_none())
-    trace::attr_str(out, "from", reply.responder.to_string());
+// Appends the journal attributes describing `reply` to `event`: its response
+// type, and the responder address when there is one. Shared by every
+// instrumented layer that logs a reply (decorators, trace collection).
+inline void append_reply_attrs(trace::Event& event,
+                               const net::ProbeReply& reply) {
+  event.word("reply", net::to_string(reply.type));
+  if (!reply.is_none()) event.addr("from", reply.responder);
 }
 
 class ProbeEngine {

@@ -99,20 +99,18 @@ class RetryingProbeEngine final : public ProbeEngine {
 
   void trace_retry(const net::Probe& probe, const net::ProbeReply& reply) {
     if (!trace::on(recorder_, trace::Level::kProbe)) return;
-    std::string attrs;
-    trace::attr_str(attrs, "dst", probe.target.to_string());
-    trace::attr_num(attrs, "ttl", probe.ttl);
-    trace::attr_num(attrs, "attempt", probe.attempt);
-    append_reply_attrs(attrs, reply);
-    recorder_->emit("retry", attrs);
+    trace::Event event = recorder_->event("retry");
+    append_reply_attrs(event.addr("dst", probe.target)
+                           .num("ttl", probe.ttl)
+                           .num("attempt", probe.attempt),
+                       reply);
   }
 
   void trace_retry_stop(const net::Probe& probe) {
     if (!trace::on(recorder_, trace::Level::kProbe)) return;
-    std::string attrs;
-    trace::attr_str(attrs, "dst", probe.target.to_string());
-    trace::attr_num(attrs, "ttl", probe.ttl);
-    recorder_->emit("retry_stop", attrs);
+    recorder_->event("retry_stop")
+        .addr("dst", probe.target)
+        .num("ttl", probe.ttl);
   }
 
   net::ProbeReply do_probe(const net::Probe& request) override {

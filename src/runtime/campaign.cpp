@@ -97,23 +97,20 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   trace::Recorder* campaign_rec =
       sink != nullptr ? sink->open(trace::kCampaignOrdinal, "campaign")
                       : nullptr;
-  if (trace::on(campaign_rec, trace::Level::kSession)) {
-    std::string attrs;
-    trace::attr_num(attrs, "targets", static_cast<std::int64_t>(count));
-    trace::attr_str(attrs, "level", trace::to_string(sink->level()));
-    campaign_rec->emit("campaign", attrs);
-  }
+  if (trace::on(campaign_rec, trace::Level::kSession))
+    campaign_rec->event("campaign")
+        .num("targets", static_cast<std::int64_t>(count))
+        .word("level", trace::to_string(sink->level()));
   // Span events carry wall-clock only when the sink opted in: timings are
   // inherently schedule-dependent, and the default journal must stay
   // byte-identical across --jobs / --window.
   const auto span = [&](const char* phase,
                         std::chrono::steady_clock::time_point since) {
     if (!trace::on(campaign_rec, trace::Level::kSession)) return;
-    std::string attrs;
-    trace::attr_str(attrs, "phase", phase);
+    trace::Event event = campaign_rec->event("span");
+    event.word("phase", phase);
     if (campaign_rec->with_timings())
-      trace::attr_num(attrs, "us", static_cast<std::int64_t>(elapsed_us(since)));
-    campaign_rec->emit("span", attrs);
+      event.num("us", static_cast<std::int64_t>(elapsed_us(since)));
   };
 
   const bool skip_targets =
@@ -271,13 +268,10 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   if (trace::on(campaign_rec, trace::Level::kSession)) {
     // Only replay-invariant fields: sessions_run / wire_probes are
     // schedule-dependent and would break cross-jobs byte identity.
-    std::string attrs;
-    trace::attr_num(attrs, "sessions",
-                    static_cast<std::int64_t>(report.sessions.size()));
-    trace::attr_num(
-        attrs, "subnets",
-        static_cast<std::int64_t>(report.observations.subnets.size()));
-    campaign_rec->emit("campaign_done", attrs);
+    campaign_rec->event("campaign_done")
+        .num("sessions", static_cast<std::int64_t>(report.sessions.size()))
+        .num("subnets",
+             static_cast<std::int64_t>(report.observations.subnets.size()));
   }
 
   if (shared_cache) {

@@ -1,5 +1,6 @@
 #include "trace/journal.h"
 
+#include <charconv>
 #include <ostream>
 
 #include "util/strings.h"
@@ -22,26 +23,60 @@ std::optional<Level> parse_level(std::string_view text) {
   return std::nullopt;
 }
 
-void attr_str(std::string& out, std::string_view key, std::string_view value) {
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  util::append_json_escaped(out, value);
-  out += '"';
+namespace {
+
+// Appends `value` in decimal, through std::to_chars (no locale, no
+// allocation).
+template <typename Integer>
+void append_decimal(std::string& out, Integer value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
 }
 
-void attr_num(std::string& out, std::string_view key, std::int64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
+}  // namespace
+
+void Event::put_key(std::string_view key) {
+  *out_ += ",\"";
+  *out_ += key;
+  *out_ += "\":";
 }
 
-void attr_bool(std::string& out, std::string_view key, bool value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += value ? "true" : "false";
+Event& Event::num(std::string_view key, std::int64_t value) {
+  put_key(key);
+  append_decimal(*out_, value);
+  return *this;
+}
+
+Event& Event::flag(std::string_view key, bool value) {
+  put_key(key);
+  *out_ += value ? "true" : "false";
+  return *this;
+}
+
+Event& Event::addr(std::string_view key, net::Ipv4Addr value) {
+  char text[net::Ipv4Addr::kMaxText];
+  return word(key, std::string_view(text, value.format(text)));
+}
+
+Event& Event::prefix(std::string_view key, const net::Prefix& value) {
+  char text[net::Prefix::kMaxText];
+  return word(key, std::string_view(text, value.format(text)));
+}
+
+Event& Event::word(std::string_view key, std::string_view value) {
+  put_key(key);
+  *out_ += '"';
+  *out_ += value;
+  *out_ += '"';
+  return *this;
+}
+
+Event& Event::text(std::string_view key, std::string_view value) {
+  put_key(key);
+  *out_ += '"';
+  util::append_json_escaped(*out_, value);
+  *out_ += '"';
+  return *this;
 }
 
 Recorder::Recorder(std::string_view label, Level level, bool with_timings,
@@ -52,19 +87,17 @@ Recorder::Recorder(std::string_view label, Level level, bool with_timings,
   prefix_ += "\",\"seq\":";
 }
 
-void Recorder::emit(std::string_view type, std::string_view attrs) {
+Event Recorder::event(std::string_view type) {
   buffer_ += prefix_;
-  buffer_ += std::to_string(seq_++);
+  append_decimal(buffer_, seq_++);
   if (sim_now_ != nullptr) {
     buffer_ += ",\"vt\":";
-    buffer_ +=
-        std::to_string(sim_now_->load(std::memory_order_relaxed));
+    append_decimal(buffer_, sim_now_->load(std::memory_order_relaxed));
   }
   buffer_ += ",\"ev\":\"";
   buffer_ += type;
   buffer_ += '"';
-  buffer_ += attrs;
-  buffer_ += "}\n";
+  return Event(buffer_);
 }
 
 JsonlTraceWriter::JsonlTraceWriter(Level level, bool with_timings,
@@ -95,7 +128,22 @@ std::string JsonlTraceWriter::merged() const {
 }
 
 void JsonlTraceWriter::write(std::ostream& out) const {
-  out << merged();
+  // A target's buffer is a few KB, and one stream write per buffer costs a
+  // system call apiece; gather them into chunks instead, without ever
+  // holding the whole merged journal twice.
+  constexpr std::size_t kChunk = std::size_t{256} << 10;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::string chunk;
+  chunk.reserve(kChunk);
+  for (const auto& [ordinal, shard] : shards_) {
+    const std::string& bytes = shard->bytes();
+    if (chunk.size() + bytes.size() > kChunk) {
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      chunk.clear();
+    }
+    chunk += bytes;
+  }
+  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
 }
 
 }  // namespace tn::trace

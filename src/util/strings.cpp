@@ -93,7 +93,13 @@ std::string percent(std::uint64_t numerator, std::uint64_t denominator, int deci
 }
 
 void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
+  std::size_t clean = 0;  // start of the run of bytes that need no escape
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    // UTF-8 bytes (>= 0x80) and DEL pass through untouched.
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + clean, i - clean);
+    clean = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -102,16 +108,14 @@ void append_json_escaped(std::string& out, std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;  // UTF-8 bytes pass through untouched.
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
+        out += buffer;
+      }
     }
   }
+  out.append(text.data() + clean, text.size() - clean);
 }
 
 std::string json_escape(std::string_view text) {

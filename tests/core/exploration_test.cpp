@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/positioning.h"
 #include "probe/cache.h"
 #include "probe/sim_engine.h"
 #include "testutil.h"
+#include "util/log.h"
 
 namespace tn::core {
 namespace {
@@ -81,6 +85,35 @@ TEST(Exploration, ExactSlash31PointToPoint) {
   EXPECT_EQ(subnet.prefix, pfx("192.168.0.0/31"));
   EXPECT_EQ(addr_strings(subnet),
             (std::vector<std::string>{"192.168.0.0", "192.168.0.1"}));
+  EXPECT_EQ(subnet.stop, StopReason::kUnderUtilized);
+}
+
+// The explorer's debug line streams its stop reason, so a disabled line
+// formats nothing; enabled, it prints what it printed when it built the
+// reason's string first.
+TEST(Exploration, DebugLineNamesTheStopReason) {
+  for (const StopReason reason :
+       {StopReason::kShrink, StopReason::kUnderUtilized,
+        StopReason::kPrefixFloor, StopReason::kProbeBudget}) {
+    std::ostringstream os;
+    os << reason;
+    EXPECT_EQ(os.str(), to_string(reason));
+  }
+
+  LanScenario s;
+  s.make_lan("192.168.0.0/29", "192.168.0.1",
+             {"192.168.0.2", "192.168.0.3", "192.168.0.4"});
+  const util::LogLevel saved = util::log_level();
+  util::set_log_level(util::LogLevel::kDebug);
+  testing::internal::CaptureStderr();
+  const auto subnet = s.explore(ip("192.168.0.2"), 4);
+  const std::string logged = testing::internal::GetCapturedStderr();
+  util::set_log_level(saved);
+  EXPECT_NE(logged.find("[DEBUG] explore: pivot 192.168.0.2 -> "
+                        "192.168.0.0/29 {192.168.0.1*, 192.168.0.2^, "
+                        "192.168.0.3, 192.168.0.4} (under-utilized)\n"),
+            std::string::npos)
+      << logged;
   EXPECT_EQ(subnet.stop, StopReason::kUnderUtilized);
 }
 

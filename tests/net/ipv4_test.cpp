@@ -2,10 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <random>
 #include <sstream>
+#include <string>
 
 namespace tn::net {
 namespace {
+
+// The dotted quad as printf formats it, the reference Ipv4Addr::format must
+// match byte for byte (journals and CSVs are pinned on these bytes).
+std::string printf_quad(std::uint32_t value) {
+  char buffer[16];
+  std::snprintf(buffer, sizeof buffer, "%u.%u.%u.%u", value >> 24,
+                (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF);
+  return buffer;
+}
+
+TEST(Ipv4Addr, ToStringMatchesPrintfForEveryOctetInEveryPosition) {
+  // Every octet value in each of the four positions, against fillers that
+  // sit on each digit-count boundary.
+  for (const std::uint32_t filler : {0u, 9u, 10u, 99u, 100u, 255u}) {
+    for (int position = 0; position < 4; ++position) {
+      for (std::uint32_t octet = 0; octet < 256; ++octet) {
+        std::uint32_t value = 0;
+        for (int i = 0; i < 4; ++i)
+          value = (value << 8) | (i == position ? octet : filler);
+        const Ipv4Addr addr(value);
+        ASSERT_EQ(addr.to_string(), printf_quad(value))
+            << "octet " << octet << " at position " << position;
+        std::ostringstream os;
+        os << addr;
+        ASSERT_EQ(os.str(), printf_quad(value));
+      }
+    }
+  }
+}
+
+TEST(Ipv4Addr, ToStringMatchesPrintfOnRandomAddresses) {
+  std::mt19937 rng(20101101);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint32_t value = rng();
+    ASSERT_EQ(Ipv4Addr(value).to_string(), printf_quad(value)) << value;
+  }
+}
+
+TEST(Ipv4Addr, FormatWritesAtMostMaxText) {
+  char text[Ipv4Addr::kMaxText + 1];
+  text[Ipv4Addr::kMaxText] = '#';
+  char* end = Ipv4Addr(0xFFFFFFFFu).format(text);
+  EXPECT_EQ(end - text, static_cast<std::ptrdiff_t>(Ipv4Addr::kMaxText));
+  EXPECT_EQ(text[Ipv4Addr::kMaxText], '#');
+  EXPECT_EQ(std::string(text, end), "255.255.255.255");
+  EXPECT_EQ(Ipv4Addr(0).format(text) - text, 7);
+}
 
 TEST(Ipv4Addr, RoundTripsToString) {
   const Ipv4Addr addr(192, 168, 1, 42);

@@ -2,8 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace tn::net {
 namespace {
+
+TEST(Prefix, ToStringForEveryLength) {
+  // /0 to /32, each with its network address as printed by Ipv4Addr.
+  for (const Ipv4Addr addr :
+       {Ipv4Addr(0xFFFFFFFFu), Ipv4Addr(10, 0, 100, 9), Ipv4Addr(0)}) {
+    for (int length = 0; length <= 32; ++length) {
+      const Prefix prefix = Prefix::covering(addr, length);
+      const std::string expected =
+          prefix.network().to_string() + "/" + std::to_string(length);
+      EXPECT_EQ(prefix.to_string(), expected);
+      EXPECT_LE(expected.size(), Prefix::kMaxText);
+    }
+  }
+  EXPECT_EQ(Prefix::covering(Ipv4Addr(0xFFFFFFFFu), 32).to_string(),
+            "255.255.255.255/32");
+  EXPECT_EQ(Prefix::covering(Ipv4Addr(0xFFFFFFFFu), 0).to_string(),
+            "0.0.0.0/0");
+  EXPECT_EQ(Prefix::covering(Ipv4Addr(10, 0, 100, 9), 10).to_string(),
+            "10.0.0.0/10");
+}
 
 TEST(Prefix, CoveringZeroesHostBits) {
   const auto p = Prefix::covering(Ipv4Addr(192, 168, 1, 77), 24);

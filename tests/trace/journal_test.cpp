@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/reader.h"
+#include "util/strings.h"
 
 namespace tn::trace {
 namespace {
@@ -26,17 +32,96 @@ TEST(TraceLevel, ParseAndToStringRoundTrip) {
 
 TEST(TraceRecorder, EmitsPrefixedSequencedLines) {
   Recorder rec("10.0.0.1", Level::kSession, false);
-  std::string attrs;
-  attr_num(attrs, "ttl", 3);
-  attr_bool(attrs, "reached", true);
-  attr_str(attrs, "from", "10.0.0.2");
-  rec.emit("hop", attrs);
-  rec.emit("trace_done");
+  rec.event("hop").num("ttl", 3).flag("reached", true).text("from",
+                                                            "10.0.0.2");
+  rec.event("trace_done");
   EXPECT_EQ(rec.bytes(),
             "{\"target\":\"10.0.0.1\",\"seq\":0,\"ev\":\"hop\","
             "\"ttl\":3,\"reached\":true,\"from\":\"10.0.0.2\"}\n"
             "{\"target\":\"10.0.0.1\",\"seq\":1,\"ev\":\"trace_done\"}\n");
   EXPECT_EQ(rec.events(), 2u);
+}
+
+// The bytes one event adds after the recorder's head for target "t".
+std::string attributes_of(const Recorder& rec) {
+  const std::string& bytes = rec.bytes();
+  const std::string head = "{\"target\":\"t\",\"seq\":0,\"ev\":\"e\"";
+  EXPECT_EQ(bytes.compare(0, head.size(), head), 0) << bytes;
+  return bytes.substr(head.size());
+}
+
+TEST(TraceEvent, NumCoversTheInt64Range) {
+  const std::pair<std::int64_t, const char*> cases[] = {
+      {0, "0"},
+      {1, "1"},
+      {-1, "-1"},
+      {std::numeric_limits<std::int64_t>::min(), "-9223372036854775808"},
+      {std::numeric_limits<std::int64_t>::max(), "9223372036854775807"},
+  };
+  for (const auto& [value, text] : cases) {
+    Recorder rec("t", Level::kSession, false);
+    rec.event("e").num("n", value);
+    EXPECT_EQ(attributes_of(rec), std::string(",\"n\":") + text + "}\n");
+  }
+}
+
+TEST(TraceEvent, TypedAppendersWriteTheirJsonForms) {
+  Recorder rec("t", Level::kSession, false);
+  rec.event("e")
+      .addr("a", net::Ipv4Addr(10, 0, 0, 255))
+      .addr("z", net::Ipv4Addr(0))
+      .prefix("p", net::Prefix::covering(net::Ipv4Addr(192, 168, 7, 9), 30))
+      .prefix("q", net::Prefix::covering(net::Ipv4Addr(1, 2, 3, 4), 0))
+      .flag("y", true)
+      .flag("n", false)
+      .word("w", "PORT_UNREACHABLE");
+  EXPECT_EQ(attributes_of(rec),
+            ",\"a\":\"10.0.0.255\",\"z\":\"0.0.0.0\",\"p\":\"192.168.7.8/30\","
+            "\"q\":\"0.0.0.0/0\",\"y\":true,\"n\":false,"
+            "\"w\":\"PORT_UNREACHABLE\"}\n");
+}
+
+TEST(TraceEvent, TextEscapesLikeJsonEscape) {
+  // Every control byte, the two JSON metacharacters, DEL and multi-byte
+  // UTF-8, alone and between clean bytes.
+  std::vector<std::string> values;
+  for (int byte = 0; byte < 0x20; ++byte)
+    values.emplace_back(1, static_cast<char>(byte));
+  for (const char* special : {"\"", "\\", "\x7f", "r\xC3\xA9seau",
+                              "\xE2\x82\xAC", "\xF0\x9F\x98\x80"})
+    values.emplace_back(special);
+  const std::size_t singles = values.size();
+  for (std::size_t i = 0; i < singles; ++i)
+    values.push_back("a" + values[i] + "b" + values[(i + 1) % singles]);
+  for (const std::string& value : values) {
+    Recorder rec("t", Level::kSession, false);
+    rec.event("e").text("x", value);
+    EXPECT_EQ(attributes_of(rec),
+              ",\"x\":\"" + util::json_escape(value) + "\"}\n");
+  }
+}
+
+TEST(TraceEvent, StampsVirtualTimeAndSequence) {
+  std::atomic<std::uint64_t> now{1234};
+  Recorder rec("t", Level::kSession, false, &now);
+  rec.event("a");
+  now = 5678;
+  rec.event("b").num("k", 2);
+  EXPECT_EQ(rec.bytes(),
+            "{\"target\":\"t\",\"seq\":0,\"vt\":1234,\"ev\":\"a\"}\n"
+            "{\"target\":\"t\",\"seq\":1,\"vt\":5678,\"ev\":\"b\",\"k\":2}\n");
+}
+
+TEST(TraceEvent, AMovedEventClosesItsLineOnce) {
+  Recorder rec("t", Level::kSession, false);
+  {
+    Event first = rec.event("e");
+    first.num("a", 1);
+    Event second = std::move(first);
+    second.num("b", 2);
+  }
+  EXPECT_EQ(attributes_of(rec), ",\"a\":1,\"b\":2}\n");
+  EXPECT_EQ(rec.events(), 1u);
 }
 
 TEST(TraceRecorder, WantsRespectsTheLevelLattice) {
@@ -69,11 +154,11 @@ TEST(TraceWriter, OffLevelOpensNothing) {
 
 TEST(TraceWriter, MergesByOrdinalNotOpenOrder) {
   JsonlTraceWriter writer(Level::kSession);
-  writer.open(2, "late")->emit("session");
-  writer.open(0, "early")->emit("session");
+  writer.open(2, "late")->event("session");
+  writer.open(0, "early")->event("session");
   Recorder* campaign = writer.open(kCampaignOrdinal, "campaign");
-  campaign->emit("campaign_done");
-  writer.open(1, "middle")->emit("session");
+  campaign->event("campaign_done");
+  writer.open(1, "middle")->event("session");
 
   const std::string merged = writer.merged();
   const auto early = merged.find("\"early\"");
@@ -91,10 +176,30 @@ TEST(TraceWriter, MergesByOrdinalNotOpenOrder) {
   EXPECT_EQ(out.str(), merged);
 }
 
+TEST(TraceWriter, WriteStreamsExactlyTheMergedBytes) {
+  // write() coalesces buffers into chunks instead of building merged();
+  // buffers of every size around the chunk, empty ones included, must come
+  // out in ordinal order with nothing lost or repeated.
+  JsonlTraceWriter writer(Level::kSession);
+  const std::string filler(1000, 'x');
+  for (std::uint64_t ordinal = 0; ordinal < 9; ++ordinal) {
+    Recorder* rec = writer.open(ordinal, "t" + std::to_string(ordinal));
+    const std::uint64_t events = ordinal == 3 ? 400 : 60 * (ordinal % 5);
+    for (std::uint64_t i = 0; i < events; ++i)
+      rec->event("e").num("i", static_cast<std::int64_t>(i)).text("f", filler);
+  }
+  const std::string merged = writer.merged();
+  EXPECT_GT(merged.size(), std::size_t{1} << 20);
+  std::ostringstream out;
+  writer.write(out);
+  EXPECT_TRUE(out.str() == merged) << out.str().size() << " vs "
+                                   << merged.size() << " bytes";
+}
+
 TEST(TraceWriter, DropDiscardsABuffer) {
   JsonlTraceWriter writer(Level::kSession);
-  writer.open(0, "keep")->emit("session");
-  writer.open(1, "reject")->emit("session");
+  writer.open(0, "keep")->event("session");
+  writer.open(1, "reject")->event("session");
   writer.drop(1);
   writer.drop(7);  // never opened: no-op
   const std::string merged = writer.merged();
@@ -106,9 +211,9 @@ TEST(TraceWriter, ReopenReplacesTheBuffer) {
   // The runtime re-opens an ordinal when the canonical merge re-traces a
   // target serially; the discarded worker buffer must vanish wholesale.
   JsonlTraceWriter writer(Level::kSession);
-  writer.open(0, "worker")->emit("session");
+  writer.open(0, "worker")->event("session");
   Recorder* fresh = writer.open(0, "fallback");
-  fresh->emit("session");
+  fresh->event("session");
   const std::string merged = writer.merged();
   EXPECT_EQ(merged.find("worker"), std::string::npos);
   EXPECT_NE(merged.find("fallback"), std::string::npos);
@@ -119,9 +224,7 @@ TEST(TraceWriter, ReopenReplacesTheBuffer) {
 TEST(TraceReader, RoundTripsEscapedContent) {
   JsonlTraceWriter writer(Level::kSession);
   Recorder* rec = writer.open(0, "we\"ird\\tar\nget");
-  std::string attrs;
-  attr_str(attrs, "note", "line1\nline2\t\"quoted\" \\ \x01");
-  rec->emit("session", attrs);
+  rec->event("session").text("note", "line1\nline2\t\"quoted\" \\ \x01");
 
   std::istringstream in(writer.merged());
   const auto events = read_journal(in);
@@ -137,9 +240,8 @@ TEST(TraceReader, EscapedValuesCannotForgeKeys) {
   // writer escapes its quotes, so the reader's preceded-by-{-or-, rule never
   // sees a key boundary inside it.
   JsonlTraceWriter writer(Level::kSession);
-  std::string attrs;
-  attr_str(attrs, "note", "x\",\"fake\":1,\"y\":\"z");
-  writer.open(0, "t")->emit("session", attrs);
+  writer.open(0, "t")->event("session").text("note",
+                                             "x\",\"fake\":1,\"y\":\"z");
 
   std::istringstream in(writer.merged());
   const auto events = read_journal(in);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 namespace tn::util {
 namespace {
 
@@ -99,6 +101,48 @@ TEST(JsonEscape, BareControlBytesUseUnicodeEscapes) {
 TEST(JsonEscape, Utf8PassesThroughUntouched) {
   // High bytes are not control characters; multi-byte sequences stay intact.
   EXPECT_EQ(json_escape("r\xC3\xA9seau"), "r\xC3\xA9seau");
+}
+
+// The byte-at-a-time escaper append_json_escaped replaced; the run-at-a-time
+// version must produce the same bytes for every input.
+std::string bytewise_escape(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscape, MatchesTheBytewiseEscaperOnEveryByte) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    // Alone, and inside runs of clean bytes on both sides.
+    for (const std::string& text :
+         {std::string(1, c), "ab" + std::string(1, c) + "cd",
+          std::string(1, c) + std::string(1, c) + "x"}) {
+      ASSERT_EQ(json_escape(text), bytewise_escape(text)) << "byte " << byte;
+    }
+  }
+  EXPECT_EQ(json_escape("\x7f"), "\x7f");  // DEL is not a control escape
+  const std::string mixed =
+      "r\xC3\xA9seau \xE2\x82\xAC \xF0\x9F\x98\x80\n\"q\"\\\x01" "end";
+  EXPECT_EQ(json_escape(mixed), bytewise_escape(mixed));
 }
 
 TEST(JsonEscape, AppendVariantAppends) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: the full test suite once normally, then the concurrent
-# runtime, reply-cache and routing tests again under ThreadSanitizer
-# (-DTN_SANITIZE=thread), with the same filter as the CI tsan job.
+# runtime, reply-cache, routing and journal-writer tests again under
+# ThreadSanitizer (-DTN_SANITIZE=thread), with the same filter as the CI tsan
+# job.
 # Run from anywhere; builds into build/ and build-tsan/ at the repo root.
 set -eu
 
@@ -13,10 +14,10 @@ cmake -B "$repo/build" -S "$repo"
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
-echo "== tsan: runtime, reply-cache and routing tests under ThreadSanitizer =="
+echo "== tsan: runtime, reply-cache, routing and journal-writer tests under ThreadSanitizer =="
 cmake -B "$repo/build-tsan" -S "$repo" -DTN_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test sim_test probe_test
+cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test sim_test probe_test trace_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R 'Metrics|Pacer|SharedStopSet|SharedSubnetCache|CacheHammer|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler|Routing'
+  -R 'Metrics|Pacer|SharedStopSet|SharedSubnetCache|CacheHammer|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler|Routing|TraceDeterminism|TraceWriter'
 
 echo "== all checks passed =="

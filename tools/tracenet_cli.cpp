@@ -2,6 +2,8 @@
 //
 // Modes:
 //   --demo internet2|geant|internet   run on a generated reference network
+//                                     (internet: the §4.2 four-ISP network
+//                                     with its ICMP rate-limit plan)
 //   --topology FILE                   run on a serialized topology
 //                                     (see topo/serialize.h for the format)
 //   --live                            raw-socket ICMP probing (CAP_NET_RAW)
@@ -59,6 +61,8 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/multipath.h"
 #include "core/session.h"
@@ -130,6 +134,9 @@ struct SimWorld {
   sim::Topology topo;
   sim::NodeId vantage = sim::kInvalidId;
   std::vector<net::Ipv4Addr> default_targets;
+  // The §4.2 ICMP rate-limit plan (--demo internet only): per-router pps,
+  // installed on the Network as the benches install it.
+  std::vector<std::pair<sim::NodeId, double>> rate_limit_plan;
 };
 
 std::optional<SimWorld> make_world(const util::Args& args) {
@@ -149,6 +156,7 @@ std::optional<SimWorld> make_world(const util::Args& args) {
       auto inet = topo::build_internet(topo::default_isp_profiles(), 7);
       world.default_targets = inet.all_targets();
       world.vantage = inet.vantages.front();
+      world.rate_limit_plan = std::move(inet.rate_limit_plan);
       world.topo = std::move(inet.topo);
     } else {
       std::fprintf(stderr, "unknown demo '%s'\n", demo->c_str());
@@ -325,6 +333,8 @@ int main(int argc, char** argv) {
       net_config.scheduler = &*scheduler;
     }
     network = std::make_unique<sim::Network>(world->topo, net_config);
+    for (const auto& [node, pps] : world->rate_limit_plan)
+      network->set_rate_limiter(node, sim::RateLimiter(pps, 5.0));
     if (wants_faults) {
       sim::FaultSpec spec;
       if (const auto path = args.option("fault-spec")) {
@@ -412,7 +422,10 @@ int main(int argc, char** argv) {
     config.protocol = protocol;
     config.max_ttl = static_cast<int>(max_ttl);
     core::MultipathTracenetSession session(*active, config);
-    for (const net::Ipv4Addr target : targets) {
+    for (std::size_t index = 0; index < targets.size(); ++index) {
+      const net::Ipv4Addr target = targets[index];
+      // Routing-churn epochs by schedule position, as on the serial path.
+      if (network) session.set_epoch(network->faults().epoch_of(index));
       const auto result = session.run(target);
       std::printf("multipath tracenet to %s: %zu subnets over %zu diamonds, "
                   "%llu probes\n",
