@@ -63,7 +63,8 @@ void BM_RoutingBfsColdCache(benchmark::State& state) {
   const auto& ref = internet2();
   for (auto _ : state) {
     // A fresh table every iteration keeps every query cold: the routing
-    // plane and the distance rows toward each subnet are built anew.
+    // plane and the vantage's origin row are built anew; each distance then
+    // reads the row at the subnet's seeds.
     sim::RoutingTable routes(ref.topo);
     for (sim::SubnetId s = 0; s < std::min<std::size_t>(8, ref.topo.subnet_count()); ++s)
       benchmark::DoNotOptimize(routes.distance(ref.vantage, s));

@@ -5,7 +5,6 @@
 #include <set>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/log.h"
@@ -40,7 +39,6 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
   ctx.on_trace_path = position.on_trace_path;
 
   std::set<net::Ipv4Addr> members{ctx.pivot};
-  std::unordered_set<std::uint32_t> examined{ctx.pivot.value()};
   StopReason stop = StopReason::kPrefixFloor;
   const int window = config_.probe_window < 1 ? 1 : config_.probe_window;
 
@@ -66,27 +64,30 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
       break;
     }
     const net::Prefix level = net::Prefix::covering(ctx.pivot, m);
+    // Level m + 1 either completed, examining all of its addresses, or ended
+    // the exploration. So the level's unexamined candidates are its half
+    // without the pivot, taken in address order.
+    const net::Prefix fresh = level.lower_half().contains(ctx.pivot)
+                                  ? level.upper_half()
+                                  : level.lower_half();
     bool shrunk = false;
 
     if (window > 1 || config_.adaptive != nullptr) {
-      // Prescan the whole level with overlapped waves; the serial walk below
-      // then consumes the replies in address order out of the probe cache.
+      // Prescan the level's candidates with overlapped waves; the serial
+      // walk below then consumes the replies in address order out of the
+      // probe cache.
       std::vector<net::Ipv4Addr> candidates;
-      candidates.reserve(static_cast<std::size_t>(level.size()));
-      for (std::uint64_t index = 0; index < level.size(); ++index) {
-        const net::Ipv4Addr candidate = level.at(index);
-        if (!examined.contains(candidate.value()))
-          candidates.push_back(candidate);
-      }
+      candidates.reserve(static_cast<std::size_t>(fresh.size()));
+      for (std::uint64_t index = 0; index < fresh.size(); ++index)
+        candidates.push_back(fresh.at(index));
       if (config_.adaptive != nullptr)
         adaptive_prescan(candidates, ctx);
       else
         prescan(candidates, ctx);
     }
 
-    for (std::uint64_t index = 0; index < level.size(); ++index) {
-      const net::Ipv4Addr candidate = level.at(index);
-      if (!examined.insert(candidate.value()).second) continue;
+    for (std::uint64_t index = 0; index < fresh.size(); ++index) {
+      const net::Ipv4Addr candidate = fresh.at(index);
       if (budget_spent()) {
         stop = StopReason::kProbeBudget;
         out_of_budget = true;

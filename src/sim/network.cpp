@@ -203,13 +203,10 @@ net::ProbeReply Network::arp_fail(NodeId node_id, const net::Probe& probe,
       slot);
 }
 
-std::optional<RoutingTable::NextHop> Network::pick_next_hop(
-    NodeId node_id, const net::Probe& probe, SubnetId target_subnet,
-    const RoutingTable::Routes& routes) {
-  RoutingTable::NextHop first;
-  const std::size_t count = routes.next_hop_count(node_id, first);
-  if (count == 0) return std::nullopt;
-  if (count == 1) return first;
+std::uint32_t Network::pick_next_hop(NodeId node_id, const net::Probe& probe,
+                                     SubnetId target_subnet,
+                                     std::uint32_t count) {
+  if (count == 1) return 0;
 
   if (topology_.per_packet_load_balancing(node_id)) {
     std::uint32_t turn;
@@ -217,7 +214,7 @@ std::optional<RoutingTable::NextHop> Network::pick_next_hop(
       const std::lock_guard<std::mutex> lock(round_robin_mutex_);
       turn = round_robin_[node_id]++;
     }
-    return routes.next_hop(node_id, turn % count);
+    return turn % count;
   }
   // Per-flow: a stable hash of (this router, flow selector, flow id,
   // protocol). With kPerDestSubnet the selector is the destination prefix, so
@@ -240,7 +237,7 @@ std::optional<RoutingTable::NextHop> Network::pick_next_hop(
             (static_cast<std::uint64_t>(probe.epoch) << 57));
     fault_churned_picks_.fetch_add(1, std::memory_order_relaxed);
   }
-  return routes.next_hop(node_id, h % count);
+  return static_cast<std::uint32_t>(h % count);
 }
 
 std::uint64_t Network::probe_delay_us(const net::Probe& probe,
@@ -383,9 +380,10 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
   int router_depth = 0;
   NodeId current = origin;
   InterfaceId incoming = kInvalidId;
-  // The routes toward the target, resolved once, when the walk first needs
-  // them.
-  std::optional<RoutingTable::Routes> routes;
+  // The route toward the target, resolved once, when the walk first needs
+  // it, and the member of it the packet is at.
+  std::optional<RoutingTable::Route> route;
+  std::uint16_t member = 0;
 
   for (int step = 0; step < config_.max_hops; ++step) {
     if (step_hook_) step_hook_(current, probe);
@@ -435,8 +433,11 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
       }
     }
 
-    if (!routes) routes = routing_.routes_to(*target_subnet);
-    if (routes->distance(current) == 0) {
+    if (!route) {
+      route = routing_.route(origin, *target_subnet);
+      member = route->origin();
+    }
+    if (route->delivers(member)) {
       // Final LAN: deliver to the owner across the subnet, or fail "ARP".
       const Subnet& lan = topology_.subnet(*target_subnet);
       if (lan.firewalled) return count(net::ProbeReply::none());
@@ -448,10 +449,13 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
       continue;
     }
 
-    const auto hop = pick_next_hop(current, probe, *target_subnet, *routes);
-    if (!hop) return count(net::ProbeReply::none());  // unreachable
-    current = hop->node;
-    incoming = hop->ingress;
+    const std::uint32_t hops = route->hop_count(member);
+    if (hops == 0) return count(net::ProbeReply::none());  // unreachable
+    const RoutingTable::Route::Hop hop = route->hop(
+        member, pick_next_hop(current, probe, *target_subnet, hops));
+    current = hop.node;
+    incoming = hop.ingress;
+    member = hop.member;
     if (hops_walked != nullptr) *hops_walked = ++links_crossed;
   }
   return count(net::ProbeReply::none());  // loop guard tripped

@@ -260,9 +260,9 @@ class Network {
   net::ProbeReply finish_reply(NodeId node, net::ProbeReply reply,
                                const ProbeSlot& slot);
 
-  std::optional<RoutingTable::NextHop> pick_next_hop(
-      NodeId node, const net::Probe& probe, SubnetId target_subnet,
-      const RoutingTable::Routes& routes);
+  // Which of `node`'s `count` equal-cost next hops the probe takes.
+  std::uint32_t pick_next_hop(NodeId node, const net::Probe& probe,
+                              SubnetId target_subnet, std::uint32_t count);
 
   net::ProbeReply count(net::ProbeReply reply);
 

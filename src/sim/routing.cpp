@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 
@@ -13,18 +13,13 @@ namespace {
 // Row entry of a router no seed reaches.
 constexpr std::uint16_t kFar = 0xFFFF;
 
-// single_seed value of a subnet that needs a row of its own.
-constexpr std::uint32_t kOwnRow = kInvalidId;
-
-// Rows per BFS pass: one bit of a uint64_t per source.
-constexpr std::uint32_t kBlock = 64;
-
 // Publishes `fresh` into an empty slot unless a racing thread got there
-// first; either way returns the rows now in the slot. Racing copies agree,
-// BFS being a pure function of the topology.
-const std::uint16_t* publish(std::atomic<std::uint16_t*>& slot,
-                             std::unique_ptr<std::uint16_t[]> fresh) {
-  std::uint16_t* expected = nullptr;
+// first; either way returns what the slot now holds. Racing copies agree,
+// everything the plane computes being a pure function of the topology.
+template <typename Owned>
+typename Owned::pointer publish(std::atomic<typename Owned::pointer>& slot,
+                                Owned fresh) {
+  typename Owned::pointer expected = nullptr;
   if (slot.compare_exchange_strong(expected, fresh.get(),
                                    std::memory_order_acq_rel,
                                    std::memory_order_acquire))
@@ -42,6 +37,13 @@ class RoutingTable::Plane {
   Plane(const Plane&) = delete;
   Plane& operator=(const Plane&) = delete;
 
+  // The words of the route from `origin` toward `target` (Route's layout).
+  const std::uint32_t* route(NodeId origin, SubnetId target) const;
+  int distance(NodeId from, SubnetId target) const;
+  std::vector<NextHop> next_hops(NodeId from, SubnetId target) const;
+  InterfaceId shortest_path_egress(NodeId from, SubnetId toward) const;
+
+ private:
   // One interface through which a path may enter or leave a LAN.
   struct Relay {
     InterfaceId iface;
@@ -49,22 +51,114 @@ class RoutingTable::Plane {
     std::uint32_t router;  // dense index; kInvalidId for a multi-homed host
   };
 
+  // The storage of every route: blocks owned by the plane, carved in
+  // order. A campaign's thousands of routes then cost a few allocations
+  // and leave no small chunks scattered through the heap. Blocks stay one
+  // size: with a std::pmr::monotonic_buffer_resource, whose blocks grow by
+  // half each time, the perfbench binary peaked at 15.3 MB on
+  // internet_serial, against 14.9 MB (4-vCPU VM).
+  class RouteArena {
+   public:
+    std::uint32_t* allocate(std::size_t words) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (words > kBlock - used_) {
+        blocks_.push_back(std::make_unique_for_overwrite<std::uint32_t[]>(
+            std::max(kBlock, words)));
+        used_ = 0;
+      }
+      std::uint32_t* slice = blocks_.back().get() + used_;
+      // A route longer than a block has a block of its own, full at once.
+      used_ = std::min(kBlock, used_ + words);
+      return slice;
+    }
+
+   private:
+    static constexpr std::size_t kBlock = 16 * 1024;  // 64 KB
+    std::mutex mutex_;
+    std::vector<std::unique_ptr<std::uint32_t[]>> blocks_;
+    std::size_t used_ = kBlock;
+  };
+
+  // A route under construction: its routers level by level from the
+  // target, then per member (the origin last) its next hops. One per
+  // thread, reused.
+  struct Members {
+    std::vector<std::uint32_t> member_of;    // by router: member index + 1
+    std::vector<std::uint32_t> routers;      // dense indices, by level
+    std::vector<std::uint32_t> level_begin;  // per level, plus an end mark
+    std::vector<std::uint32_t> first_hop;    // per member, plus an end mark
+    std::vector<std::uint32_t> hops;         // node, ingress, member
+  };
+
   std::span<const Relay> relays(SubnetId lan) const {
     return {relays_.data() + relay_begin_[lan],
             relays_.data() + relay_begin_[lan + 1]};
   }
 
-  // The distance row of `target` by dense router index (kFar: unreachable).
-  const std::uint16_t* subnet_row(SubnetId target) const;
+  void check(NodeId node, SubnetId subnet) const {
+    if (node >= router_index_.size() || subnet >= relay_begin_.size() - 1)
+      throw std::out_of_range("routing: no such node or subnet");
+  }
 
-  const Topology& topology;
-  std::vector<std::uint32_t> router_index;  // by NodeId; kInvalidId: host
+  // Calls visit(router, offset) for each seed of `target`: its attached
+  // routers at 0 and the routers beside its attached multi-homed hosts at 1.
+  template <typename Visit>
+  void for_each_seed(SubnetId target, Visit visit) const;
 
- private:
-  const std::uint16_t* router_row(std::uint32_t router) const;
-  std::unique_ptr<std::uint16_t[]> block_bfs(std::uint32_t block) const;
+  // Calls visit(peer, egress) for each next hop of `from`, `d` hops from
+  // `target`, in (egress interface, relay) order. closer(router) says
+  // whether a router peer is one step nearer the target.
+  template <typename Closer, typename Visit>
+  void for_each_next_hop(NodeId from, std::uint32_t d, SubnetId target,
+                         Closer closer, Visit visit) const;
 
+  // Hop counts over the router graph from the routers of `at_zero` (0) and
+  // of `at_one` (1).
+  std::unique_ptr<std::uint16_t[]> bfs(
+      std::span<const std::uint32_t> at_zero,
+      std::span<const std::uint32_t> at_one) const;
+
+  // R_o: forwarding steps from `origin` to each router.
+  const std::uint16_t* origin_row(NodeId origin) const;
+  // Each router's distance toward `subnet`.
+  const std::uint16_t* subnet_row(SubnetId subnet) const;
+
+  // D: the distance of `origin`, whose row is `row`, toward `target`; kFar
+  // when unreachable.
+  std::uint32_t origin_distance(NodeId origin, SubnetId target,
+                                const std::uint16_t* row) const;
+
+  // Fills m.routers and m.level_begin with levels 0 .. d - 1 of the route
+  // from the origin of `row`, d >= 1 hops from `target`.
+  void find_members(SubnetId target, const std::uint16_t* row,
+                    std::uint32_t d, Members& m) const;
+
+  // This thread's route under construction.
+  static Members& scratch() {
+    thread_local Members m;
+    return m;
+  }
+
+  // Clears the member marks that find_members set.
+  static void release(Members& m) {
+    for (const std::uint32_t router : m.routers) m.member_of[router] = 0;
+  }
+
+  // Whether a router is a member at `level` (levels past the last are
+  // empty).
+  static bool member_at(const Members& m, std::uint32_t router,
+                        std::uint32_t level) {
+    if (level + 1 >= m.level_begin.size()) return false;
+    const std::uint32_t index = m.member_of[router];
+    return index > m.level_begin[level] && index <= m.level_begin[level + 1];
+  }
+
+  const std::uint32_t* build_route(NodeId origin, SubnetId target) const;
+
+  const Topology& topology_;
   std::uint32_t routers_ = 0;
+  std::vector<std::uint32_t> router_index_;  // by NodeId; kInvalidId: host
+  std::vector<NodeId> router_node_;          // by router
 
   // Relays of every LAN, in the LAN's interface-insertion order.
   std::vector<std::uint32_t> relay_begin_;  // by SubnetId, plus an end mark
@@ -72,54 +166,52 @@ class RoutingTable::Plane {
 
   // The router <-> LAN graph in CSR form, over the LANs that link two or
   // more routers, numbered densely: per router, its LANs; per LAN, its
-  // routers. A BFS pass scans a LAN's routers at most once per level, so its
-  // cost stays linear in LAN size.
+  // routers. A BFS scans each LAN once, so its cost stays linear in LAN
+  // size.
   std::vector<std::uint32_t> router_lan_begin_;  // by router, plus an end mark
   std::vector<std::uint32_t> router_lans_;
   std::vector<std::uint32_t> lan_router_begin_;  // by LAN, plus an end mark
   std::vector<std::uint32_t> lan_routers_;
 
-  // Per subnet: the dense index of its only seed when that seed is a single
-  // router (the subnet reads the router's row), else kOwnRow.
-  std::vector<std::uint32_t> single_seed_;
-
-  // Lazily filled, owned rows: per block of kBlock routers (its rows back to
-  // back, by source), and per kOwnRow subnet.
-  std::unique_ptr<std::atomic<std::uint16_t*>[]> router_blocks_;
+  // Lazily filled and published lock-free: a row per origin (by NodeId) and
+  // per reply destination (by SubnetId), and per origin an array of routes
+  // by target SubnetId.
+  std::unique_ptr<std::atomic<std::uint16_t*>[]> origin_rows_;
   std::unique_ptr<std::atomic<std::uint16_t*>[]> subnet_rows_;
+  std::unique_ptr<std::atomic<std::atomic<const std::uint32_t*>*>[]> routes_;
+  mutable RouteArena route_arena_;
 };
 
-RoutingTable::Plane::Plane(const Topology& topo) : topology(topo) {
+RoutingTable::Plane::Plane(const Topology& topo) : topology_(topo) {
   const std::size_t node_count = topo.node_count();
   const std::size_t subnet_count = topo.subnet_count();
 
-  router_index.assign(node_count, kInvalidId);
-  for (NodeId n = 0; n < node_count; ++n)
-    if (!topo.node(n).is_host) router_index[n] = routers_++;
-  // Host seeds add one hop to a router distance of at most routers_ - 1.
+  router_index_.assign(node_count, kInvalidId);
+  for (NodeId n = 0; n < node_count; ++n) {
+    if (topo.node(n).is_host) continue;
+    router_index_[n] = routers_++;
+    router_node_.push_back(n);
+  }
+  // Host seeds add one hop to a router distance of at most routers_ - 1,
+  // and a route's members (routers and the origin) take 16-bit indices
+  // below Route::kNoMember.
   if (routers_ >= kFar)
     throw std::length_error("routing plane: more than 65534 routers");
 
   std::vector<std::uint32_t> linking_lan(subnet_count, kInvalidId);
-  single_seed_.assign(subnet_count, kOwnRow);
   relay_begin_.reserve(subnet_count + 1);
   for (SubnetId lan = 0; lan < subnet_count; ++lan) {
     relay_begin_.push_back(static_cast<std::uint32_t>(relays_.size()));
     std::size_t lan_routers = 0;
-    std::size_t lan_hosts = 0;
     for (const InterfaceId iface : topo.subnet(lan).interfaces) {
       const NodeId node = topo.interface(iface).node;
-      const std::uint32_t router = router_index[node];
+      const std::uint32_t router = router_index_[node];
       if (router != kInvalidId)
         ++lan_routers;
-      else if (topo.node(node).interfaces.size() > 1)
-        ++lan_hosts;
-      else
+      else if (topo.node(node).interfaces.size() <= 1)
         continue;
       relays_.push_back(Relay{iface, node, router});
     }
-    if (lan_routers == 1 && lan_hosts == 0)
-      single_seed_[lan] = relays_.back().router;
     if (lan_routers > 1) {
       linking_lan[lan] = static_cast<std::uint32_t>(lan_router_begin_.size());
       lan_router_begin_.push_back(static_cast<std::uint32_t>(lan_routers_.size()));
@@ -132,8 +224,7 @@ RoutingTable::Plane::Plane(const Topology& topo) : topology(topo) {
   lan_router_begin_.push_back(static_cast<std::uint32_t>(lan_routers_.size()));
 
   router_lan_begin_.reserve(routers_ + 1);
-  for (NodeId n = 0; n < node_count; ++n) {
-    if (router_index[n] == kInvalidId) continue;
+  for (const NodeId n : router_node_) {
     router_lan_begin_.push_back(static_cast<std::uint32_t>(router_lans_.size()));
     for (const InterfaceId iface : topo.node(n).interfaces) {
       const std::uint32_t lan = linking_lan[topo.interface(iface).subnet];
@@ -142,128 +233,291 @@ RoutingTable::Plane::Plane(const Topology& topo) : topology(topo) {
   }
   router_lan_begin_.push_back(static_cast<std::uint32_t>(router_lans_.size()));
 
-  router_blocks_ = std::make_unique<std::atomic<std::uint16_t*>[]>(
-      (routers_ + kBlock - 1) / kBlock);
+  origin_rows_ = std::make_unique<std::atomic<std::uint16_t*>[]>(node_count);
   subnet_rows_ = std::make_unique<std::atomic<std::uint16_t*>[]>(subnet_count);
+  routes_ = std::make_unique<std::atomic<std::atomic<const std::uint32_t*>*>[]>(
+      node_count);
 }
 
 RoutingTable::Plane::~Plane() {
-  for (std::uint32_t b = 0; b * kBlock < routers_; ++b)
-    delete[] router_blocks_[b].load();
-  for (SubnetId s = 0; s < single_seed_.size(); ++s)
-    delete[] subnet_rows_[s].load();
-}
-
-// The rows of sources [kBlock * block, +count) in one multi-source BFS
-// (MS-BFS, Then et al., PVLDB 2014): bit i of a router's mask stands for the
-// block's source i, so one level-synchronous pass advances every source's
-// frontier at once. A LAN's mask is the OR of its frontier routers' masks,
-// less the sources that already crossed it (its routers are all one hop past
-// the first of them a source reaches), so each level scans a LAN once.
-std::unique_ptr<std::uint16_t[]> RoutingTable::Plane::block_bfs(
-    std::uint32_t block) const {
-  const std::uint32_t first = block * kBlock;
-  const std::uint32_t count = std::min(kBlock, routers_ - first);
-  auto rows = std::make_unique_for_overwrite<std::uint16_t[]>(
-      static_cast<std::size_t>(count) * routers_);
-  std::fill_n(rows.get(), static_cast<std::size_t>(count) * routers_, kFar);
-
-  const std::size_t lans = lan_router_begin_.size() - 1;
-  std::vector<std::uint64_t> seen(routers_, 0);      // sources that reached it
-  std::vector<std::uint64_t> frontier(routers_, 0);  // reached at this level
-  std::vector<std::uint64_t> next(routers_, 0);      // reached at the next
-  std::vector<std::uint64_t> lan_done(lans, 0);      // sources that crossed it
-  std::vector<std::uint64_t> lan_mask(lans, 0);      // crossing at this level
-  std::vector<std::uint32_t> frontier_list;
-  std::vector<std::uint32_t> next_list;
-  std::vector<std::uint32_t> touched;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << i;
-    seen[first + i] = frontier[first + i] = bit;
-    rows[static_cast<std::size_t>(i) * routers_ + first + i] = 0;
-    frontier_list.push_back(first + i);
+  const std::size_t subnet_count = relay_begin_.size() - 1;
+  for (NodeId n = 0; n < router_index_.size(); ++n) {
+    delete[] origin_rows_[n].load();
+    delete[] routes_[n].load();
   }
-
-  for (std::uint16_t level = 1; !frontier_list.empty(); ++level) {
-    for (const std::uint32_t u : frontier_list) {
-      for (std::uint32_t i = router_lan_begin_[u]; i < router_lan_begin_[u + 1];
-           ++i) {
-        const std::uint32_t lan = router_lans_[i];
-        const std::uint64_t crossing = frontier[u] & ~lan_done[lan];
-        if (crossing == 0) continue;
-        if (lan_mask[lan] == 0) touched.push_back(lan);
-        lan_mask[lan] |= crossing;
-        lan_done[lan] |= crossing;
-      }
-      frontier[u] = 0;
-    }
-    for (const std::uint32_t lan : touched) {
-      const std::uint64_t crossing = lan_mask[lan];
-      lan_mask[lan] = 0;
-      for (std::uint32_t j = lan_router_begin_[lan];
-           j < lan_router_begin_[lan + 1]; ++j) {
-        const std::uint32_t v = lan_routers_[j];
-        const std::uint64_t fresh = crossing & ~seen[v];
-        if (fresh == 0) continue;
-        if (next[v] == 0) next_list.push_back(v);
-        next[v] |= fresh;
-        seen[v] |= fresh;
-      }
-    }
-    touched.clear();
-    for (const std::uint32_t v : next_list) {
-      for (std::uint64_t bits = next[v]; bits != 0; bits &= bits - 1)
-        rows[static_cast<std::size_t>(std::countr_zero(bits)) * routers_ + v] =
-            level;
-    }
-    frontier.swap(next);
-    frontier_list.swap(next_list);
-    next_list.clear();
-  }
-  return rows;
+  for (SubnetId s = 0; s < subnet_count; ++s) delete[] subnet_rows_[s].load();
 }
 
-const std::uint16_t* RoutingTable::Plane::router_row(
-    std::uint32_t router) const {
-  std::atomic<std::uint16_t*>& slot = router_blocks_[router / kBlock];
-  const std::uint16_t* block = slot.load(std::memory_order_acquire);
-  if (block == nullptr) block = publish(slot, block_bfs(router / kBlock));
-  return block + static_cast<std::size_t>(router % kBlock) * routers_;
-}
-
-const std::uint16_t* RoutingTable::Plane::subnet_row(SubnetId target) const {
-  const std::uint32_t seed = single_seed_.at(target);
-  if (seed != kOwnRow) return router_row(seed);
-  if (const std::uint16_t* ready =
-          subnet_rows_[target].load(std::memory_order_acquire))
-    return ready;
-
-  // The BFS from every node attached to `target` at once: attached routers
-  // seed at 0; an attached multi-homed host seeds the routers on its other
-  // LANs at 1. The distance from a seed set is the minimum over its seeds.
-  auto dist = std::make_unique_for_overwrite<std::uint16_t[]>(routers_);
-  std::fill_n(dist.get(), routers_, kFar);
-  // A saturating add keeps kFar far (real distances stay below kFar - 1), so
-  // the loop is a branch-free minimum the compiler can vectorize.
-  const auto merge = [&](std::uint32_t router, std::uint32_t offset) {
-    const std::uint16_t* row = router_row(router);
-    for (std::uint32_t r = 0; r < routers_; ++r)
-      dist[r] = static_cast<std::uint16_t>(std::min<std::uint32_t>(
-          dist[r], std::min<std::uint32_t>(row[r] + offset, kFar)));
-  };
-  for (const Relay& seed_relay : relays(target)) {
-    if (seed_relay.router != kInvalidId) {
-      merge(seed_relay.router, 0);
+template <typename Visit>
+void RoutingTable::Plane::for_each_seed(SubnetId target, Visit visit) const {
+  for (const Relay& seed : relays(target)) {
+    if (seed.router != kInvalidId) {
+      visit(seed.router, 0u);
       continue;
     }
-    for (const InterfaceId iface : topology.node(seed_relay.node).interfaces) {
-      const SubnetId lan = topology.interface(iface).subnet;
+    for (const InterfaceId iface : topology_.node(seed.node).interfaces) {
+      const SubnetId lan = topology_.interface(iface).subnet;
       if (lan == target) continue;
-      for (const Relay& relay : relays(lan))
-        if (relay.router != kInvalidId) merge(relay.router, 1);
+      for (const Relay& beside : relays(lan))
+        if (beside.router != kInvalidId) visit(beside.router, 1u);
     }
   }
-  return publish(subnet_rows_[target], std::move(dist));
+}
+
+template <typename Closer, typename Visit>
+void RoutingTable::Plane::for_each_next_hop(NodeId from, std::uint32_t d,
+                                            SubnetId target, Closer closer,
+                                            Visit visit) const {
+  for (const InterfaceId egress : topology_.node(from).interfaces) {
+    for (const Relay& peer : relays(topology_.interface(egress).subnet)) {
+      if (peer.iface == egress) continue;
+      // A host relays only by delivering onto the target itself, which
+      // makes it a next hop of the delivery step alone.
+      const bool next = peer.router != kInvalidId
+                            ? closer(peer.router)
+                            : d == 1 && topology_.interface_on(peer.node, target);
+      if (next) visit(peer, egress);
+    }
+  }
+}
+
+// Level-synchronous by construction: a FIFO queue holding the 0-seeds, then
+// the 1-seeds, then what each dequeued router reaches. A LAN is scanned
+// once, from the first of its routers to be dequeued; that router is one of
+// the LAN's nearest, so every unreached router of the LAN is one hop past it.
+std::unique_ptr<std::uint16_t[]> RoutingTable::Plane::bfs(
+    std::span<const std::uint32_t> at_zero,
+    std::span<const std::uint32_t> at_one) const {
+  auto row = std::make_unique_for_overwrite<std::uint16_t[]>(routers_);
+  std::fill_n(row.get(), routers_, kFar);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(routers_);
+  const auto reach = [&](std::uint32_t router, std::uint16_t hops) {
+    if (row[router] != kFar) return;
+    row[router] = hops;
+    queue.push_back(router);
+  };
+  for (const std::uint32_t router : at_zero) reach(router, 0);
+  for (const std::uint32_t router : at_one) reach(router, 1);
+
+  std::vector<bool> lan_done(lan_router_begin_.size() - 1, false);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t u = queue[head];
+    const std::uint16_t next = static_cast<std::uint16_t>(row[u] + 1);
+    for (std::uint32_t i = router_lan_begin_[u]; i < router_lan_begin_[u + 1];
+         ++i) {
+      const std::uint32_t lan = router_lans_[i];
+      if (lan_done[lan]) continue;
+      lan_done[lan] = true;
+      for (std::uint32_t j = lan_router_begin_[lan];
+           j < lan_router_begin_[lan + 1]; ++j)
+        reach(lan_routers_[j], next);
+    }
+  }
+  return row;
+}
+
+const std::uint16_t* RoutingTable::Plane::origin_row(NodeId origin) const {
+  std::atomic<std::uint16_t*>& slot = origin_rows_[origin];
+  if (const std::uint16_t* ready = slot.load(std::memory_order_acquire))
+    return ready;
+  const std::uint32_t router = router_index_[origin];
+  if (router != kInvalidId) return publish(slot, bfs({&router, 1}, {}));
+  std::vector<std::uint32_t> seeds;
+  for (const InterfaceId iface : topology_.node(origin).interfaces)
+    for (const Relay& relay : relays(topology_.interface(iface).subnet))
+      if (relay.router != kInvalidId) seeds.push_back(relay.router);
+  return publish(slot, bfs({}, seeds));
+}
+
+const std::uint16_t* RoutingTable::Plane::subnet_row(SubnetId subnet) const {
+  std::atomic<std::uint16_t*>& slot = subnet_rows_[subnet];
+  if (const std::uint16_t* ready = slot.load(std::memory_order_acquire))
+    return ready;
+  std::vector<std::uint32_t> seeds[2];
+  for_each_seed(subnet, [&](std::uint32_t router, std::uint32_t offset) {
+    seeds[offset].push_back(router);
+  });
+  return publish(slot, bfs(seeds[0], seeds[1]));
+}
+
+std::uint32_t RoutingTable::Plane::origin_distance(
+    NodeId origin, SubnetId target, const std::uint16_t* row) const {
+  if (topology_.interface_on(origin, target)) return 0;
+  std::uint32_t best = kFar;
+  for_each_seed(target, [&](std::uint32_t router, std::uint32_t offset) {
+    best = std::min<std::uint32_t>(best, row[router] + offset);
+  });
+  // A host origin beside a multi-homed host of the target hands it the
+  // probe directly.
+  if (best > 1 && router_index_[origin] == kInvalidId) {
+    for (const InterfaceId iface : topology_.node(origin).interfaces)
+      for (const Relay& relay : relays(topology_.interface(iface).subnet))
+        if (relay.router == kInvalidId &&
+            topology_.interface_on(relay.node, target))
+          best = 1;
+  }
+  return std::min<std::uint32_t>(best, kFar);
+}
+
+void RoutingTable::Plane::find_members(SubnetId target,
+                                       const std::uint16_t* row,
+                                       std::uint32_t d, Members& m) const {
+  if (m.member_of.size() < routers_) m.member_of.resize(routers_, 0);
+  m.routers.clear();
+  m.level_begin.assign(1, 0);
+  const auto admit = [&](std::uint32_t router, std::uint32_t want) {
+    if (row[router] != want || m.member_of[router] != 0) return;
+    m.routers.push_back(router);
+    m.member_of[router] = static_cast<std::uint32_t>(m.routers.size());
+  };
+  for_each_seed(target, [&](std::uint32_t router, std::uint32_t offset) {
+    if (offset == 0) admit(router, d);
+  });
+  m.level_begin.push_back(static_cast<std::uint32_t>(m.routers.size()));
+  // Level k + 1: the +1 seeds (k = 0), and the routers sharing a LAN with a
+  // level-k member, each when its R_o is d - k - 1.
+  for (std::uint32_t k = 0; k + 1 < d; ++k) {
+    const std::uint32_t want = d - k - 1;
+    if (k == 0) {
+      for_each_seed(target, [&](std::uint32_t router, std::uint32_t offset) {
+        if (offset == 1) admit(router, want);
+      });
+    }
+    for (std::uint32_t i = m.level_begin[k]; i < m.level_begin[k + 1]; ++i) {
+      const std::uint32_t u = m.routers[i];
+      for (std::uint32_t l = router_lan_begin_[u]; l < router_lan_begin_[u + 1];
+           ++l) {
+        const std::uint32_t lan = router_lans_[l];
+        for (std::uint32_t j = lan_router_begin_[lan];
+             j < lan_router_begin_[lan + 1]; ++j)
+          admit(lan_routers_[j], want);
+      }
+    }
+    if (m.routers.size() == m.level_begin.back()) break;
+    m.level_begin.push_back(static_cast<std::uint32_t>(m.routers.size()));
+  }
+}
+
+const std::uint32_t* RoutingTable::Plane::build_route(
+    NodeId origin, SubnetId target) const {
+  Members& m = scratch();
+  m.hops.clear();
+  const std::uint16_t* row = origin_row(origin);
+  const std::uint32_t d = origin_distance(origin, target, row);
+  std::uint32_t delivering = d == 0 ? 1 : 0;
+  if (d == 0 || d == kFar) {
+    m.first_hop.assign(2, 0);  // the origin alone, with no next hops
+  } else {
+    find_members(target, row, d, m);
+    delivering = m.level_begin[1];
+    m.first_hop.assign(delivering + 1, 0);  // level 0 has no next hops
+    const auto enumerate = [&](NodeId from, std::uint32_t level) {
+      for_each_next_hop(
+          from, level, target,
+          [&](std::uint32_t router) { return member_at(m, router, level - 1); },
+          [&](const Relay& peer, InterfaceId) {
+            m.hops.insert(m.hops.end(),
+                          {peer.node, peer.iface,
+                           peer.router == kInvalidId
+                               ? Route::kNoMember
+                               : m.member_of[peer.router] - 1});
+          });
+      m.first_hop.push_back(static_cast<std::uint32_t>(m.hops.size() / 3));
+    };
+    for (std::uint32_t level = 1; level + 1 < m.level_begin.size(); ++level)
+      for (std::uint32_t i = m.level_begin[level]; i < m.level_begin[level + 1];
+           ++i)
+        enumerate(router_node_[m.routers[i]], level);
+    enumerate(origin, d);
+    release(m);
+  }
+
+  std::uint32_t* words =
+      route_arena_.allocate(1 + m.first_hop.size() + m.hops.size());
+  words[0] = static_cast<std::uint32_t>(m.first_hop.size() - 1) |
+             delivering << 16;
+  std::copy(m.hops.begin(), m.hops.end(),
+            std::copy(m.first_hop.begin(), m.first_hop.end(), words + 1));
+  return words;
+}
+
+const std::uint32_t* RoutingTable::Plane::route(NodeId origin,
+                                                SubnetId target) const {
+  check(origin, target);
+  std::atomic<std::atomic<const std::uint32_t*>*>& array = routes_[origin];
+  std::atomic<const std::uint32_t*>* slots =
+      array.load(std::memory_order_acquire);
+  if (slots == nullptr)
+    slots = publish(array, std::make_unique<std::atomic<const std::uint32_t*>[]>(
+                               relay_begin_.size() - 1));
+  std::atomic<const std::uint32_t*>& slot = slots[target];
+  if (const std::uint32_t* ready = slot.load(std::memory_order_acquire))
+    return ready;
+  // A route that loses the race stays unused in the arena.
+  const std::uint32_t* fresh = build_route(origin, target);
+  const std::uint32_t* expected = nullptr;
+  slot.compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
+                               std::memory_order_acquire);
+  return expected == nullptr ? fresh : expected;
+}
+
+int RoutingTable::Plane::distance(NodeId from, SubnetId target) const {
+  check(from, target);
+  const std::uint32_t d = origin_distance(from, target, origin_row(from));
+  return d == kFar ? kUnreachable : static_cast<int>(d);
+}
+
+std::vector<RoutingTable::NextHop> RoutingTable::Plane::next_hops(
+    NodeId from, SubnetId target) const {
+  check(from, target);
+  std::vector<NextHop> out;
+  const std::uint16_t* row = origin_row(from);
+  const std::uint32_t d = origin_distance(from, target, row);
+  if (d == 0 || d == kFar) return out;
+  Members& m = scratch();
+  find_members(target, row, d, m);
+  for_each_next_hop(
+      from, d, target,
+      [&](std::uint32_t router) { return member_at(m, router, d - 1); },
+      [&](const Relay& peer, InterfaceId egress) {
+        out.push_back(NextHop{peer.node, egress, peer.iface});
+      });
+  release(m);
+  return out;
+}
+
+InterfaceId RoutingTable::Plane::shortest_path_egress(NodeId from,
+                                                      SubnetId toward) const {
+  check(from, toward);
+  // Attached: the interface on the subnet itself is the egress.
+  if (const auto local = topology_.interface_on(from, toward)) return *local;
+  const std::uint16_t* row = subnet_row(toward);
+  std::uint32_t d = kFar;
+  const std::uint32_t router = router_index_[from];
+  if (router != kInvalidId) {
+    d = row[router];
+  } else {
+    // A host: one hop past the nearest relay on any of its LANs.
+    for (const InterfaceId iface : topology_.node(from).interfaces) {
+      for (const Relay& relay : relays(topology_.interface(iface).subnet)) {
+        if (relay.router != kInvalidId)
+          d = std::min<std::uint32_t>(d, row[relay.router] + 1u);
+        else if (topology_.interface_on(relay.node, toward))
+          d = std::min<std::uint32_t>(d, 1);
+      }
+    }
+  }
+  InterfaceId best = kInvalidId;
+  if (d >= kFar) return best;
+  for_each_next_hop(
+      from, d, toward, [&](std::uint32_t peer) { return row[peer] == d - 1; },
+      [&](const Relay&, InterfaceId egress) {
+        if (best == kInvalidId ||
+            topology_.interface(egress).addr < topology_.interface(best).addr)
+          best = egress;
+      });
+  return best;
 }
 
 RoutingTable::RoutingTable(const Topology& topology,
@@ -278,105 +532,23 @@ const RoutingTable::Plane& RoutingTable::plane() const {
   return *plane_;
 }
 
-RoutingTable::Routes RoutingTable::routes_to(SubnetId target) const {
-  const Plane& p = plane();
-  return Routes(p, p.subnet_row(target), target);
+RoutingTable::Route RoutingTable::route(NodeId origin,
+                                        SubnetId target) const {
+  return Route(plane().route(origin, target));
 }
 
-int RoutingTable::Routes::distance(NodeId from) const {
-  const Plane& plane = *plane_;
-  const std::uint32_t router = plane.router_index.at(from);
-  if (router != kInvalidId)
-    return dist_[router] == kFar ? kUnreachable : dist_[router];
-  // A host: 0 when attached; else one hop past the nearest relay on any of
-  // its LANs — the LAN's first relaxation in a full-graph BFS, which only
-  // routers and attached (distance-0) hosts relay.
-  int best = kUnreachable;
-  for (const InterfaceId iface : plane.topology.node(from).interfaces) {
-    const SubnetId lan = plane.topology.interface(iface).subnet;
-    if (lan == target_) return 0;
-    for (const Plane::Relay& relay : plane.relays(lan)) {
-      int via;
-      if (relay.router != kInvalidId) {
-        if (dist_[relay.router] == kFar) continue;
-        via = dist_[relay.router] + 1;
-      } else if (plane.topology.interface_on(relay.node, target_)) {
-        via = 1;
-      } else {
-        continue;
-      }
-      if (best == kUnreachable || via < best) best = via;
-    }
-  }
-  return best;
-}
-
-template <typename Visit>
-void RoutingTable::Routes::for_each_next_hop(NodeId from, Visit visit) const {
-  const int d = distance(from);
-  if (d <= 0) return;  // attached (local delivery) or unreachable
-  const Plane& plane = *plane_;
-  for (const InterfaceId egress : plane.topology.node(from).interfaces) {
-    for (const Plane::Relay& peer :
-         plane.relays(plane.topology.interface(egress).subnet)) {
-      if (peer.iface == egress) continue;
-      bool closer;
-      if (peer.router != kInvalidId) {
-        closer = dist_[peer.router] == d - 1;
-      } else {
-        // A host relays only by delivering onto the target itself, which
-        // makes it a next hop of the delivery step alone.
-        closer = d == 1 && plane.topology.interface_on(peer.node, target_);
-      }
-      if (closer && !visit(NextHop{peer.node, egress, peer.iface})) return;
-    }
-  }
-}
-
-std::size_t RoutingTable::Routes::next_hop_count(NodeId from,
-                                                 NextHop& first) const {
-  std::size_t count = 0;
-  for_each_next_hop(from, [&](const NextHop& hop) {
-    if (count++ == 0) first = hop;
-    return true;
-  });
-  return count;
-}
-
-RoutingTable::NextHop RoutingTable::Routes::next_hop(NodeId from,
-                                                     std::size_t index) const {
-  NextHop chosen;
-  for_each_next_hop(from, [&](const NextHop& hop) {
-    if (index-- > 0) return true;
-    chosen = hop;
-    return false;
-  });
-  return chosen;
+int RoutingTable::distance(NodeId from, SubnetId target) const {
+  return plane().distance(from, target);
 }
 
 std::vector<RoutingTable::NextHop> RoutingTable::next_hops(
     NodeId from, SubnetId target) const {
-  std::vector<NextHop> out;
-  routes_to(target).for_each_next_hop(from, [&](const NextHop& hop) {
-    out.push_back(hop);
-    return true;
-  });
-  return out;
+  return plane().next_hops(from, target);
 }
 
 InterfaceId RoutingTable::shortest_path_egress(NodeId from,
                                                SubnetId toward_subnet) const {
-  // Attached: the interface on the subnet itself is the egress.
-  if (const auto local = topology_.interface_on(from, toward_subnet))
-    return *local;
-  InterfaceId best = kInvalidId;
-  routes_to(toward_subnet).for_each_next_hop(from, [&](const NextHop& hop) {
-    if (best == kInvalidId ||
-        topology_.interface(hop.egress).addr < topology_.interface(best).addr)
-      best = hop.egress;
-    return true;
-  });
-  return best;
+  return plane().shortest_path_egress(from, toward_subnet);
 }
 
 }  // namespace tn::sim

@@ -105,13 +105,15 @@ TEST_P(ChaosProperty, SessionTerminatesAndSubnetsContainTheirPivot) {
       EXPECT_TRUE(std::find(subnet.members.begin(), subnet.members.end(),
                             subnet.pivot) != subnet.members.end())
           << subnet.to_string();
-      if (subnet.prefix.length() < 32)
+      if (subnet.prefix.length() < 32) {
         EXPECT_TRUE(subnet.prefix.contains(subnet.pivot))
             << subnet.to_string();
-      if (subnet.contra_pivot)
+      }
+      if (subnet.contra_pivot) {
         EXPECT_TRUE(std::find(subnet.members.begin(), subnet.members.end(),
                               *subnet.contra_pivot) != subnet.members.end())
             << subnet.to_string();
+      }
     }
   }
 }

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/network.h"
+#include "sim/random_topology.h"
 #include "testutil.h"
 #include "topo/isp.h"
 #include "topo/reference.h"
@@ -175,8 +177,54 @@ std::vector<RoutingTable::NextHop> full_graph_next_hops(
   return out;
 }
 
+// Walks every member of the route from `origin` toward `target`, as a probe
+// would, and checks each member's next hops (node and ingress, in order)
+// against the full-graph BFS, and that exactly the members at distance 0
+// deliver.
+void expect_route_matches(const RoutingTable& routes, const Topology& t,
+                          const std::vector<int>& ref, NodeId origin,
+                          SubnetId target) {
+  SCOPED_TRACE("route from node " + std::to_string(origin) + " to subnet " +
+               std::to_string(target));
+  const RoutingTable::Route route = routes.route(origin, target);
+  std::vector<NodeId> node_of;  // by member index
+  std::vector<std::uint16_t> pending;
+  const auto reach = [&](std::uint16_t member, NodeId node) {
+    if (member >= node_of.size()) node_of.resize(member + 1, kInvalidId);
+    if (node_of[member] == kInvalidId) {
+      node_of[member] = node;
+      pending.push_back(member);
+    }
+    EXPECT_EQ(node_of[member], node) << "member " << member;
+  };
+  reach(route.origin(), origin);
+  while (!pending.empty()) {
+    const std::uint16_t member = pending.back();
+    pending.pop_back();
+    const NodeId node = node_of[member];
+    ASSERT_EQ(route.delivers(member), ref[node] == 0) << "node " << node;
+    const auto want = full_graph_next_hops(t, ref, node);
+    ASSERT_EQ(route.hop_count(member), want.size()) << "node " << node;
+    for (std::uint32_t i = 0; i < want.size(); ++i) {
+      const RoutingTable::Route::Hop hop = route.hop(member, i);
+      ASSERT_EQ(hop.node, want[i].node) << "node " << node << " hop " << i;
+      ASSERT_EQ(hop.ingress, want[i].ingress);
+      if (hop.member == RoutingTable::Route::kNoMember) {
+        // Only a multi-homed host on the target ends a route off its
+        // members.
+        ASSERT_TRUE(t.node(hop.node).is_host);
+        ASSERT_EQ(ref[hop.node], 0);
+      } else {
+        reach(hop.member, hop.node);
+      }
+    }
+  }
+}
+
+// Checks distance and next_hops of every node toward every stride-th
+// subnet, and the routes from every origin_stride-th node.
 void expect_routes_match(const RoutingTable& routes, const Topology& t,
-                         SubnetId stride) {
+                         SubnetId stride, NodeId origin_stride = 1) {
   for (SubnetId s = 0; s < t.subnet_count(); s += stride) {
     const std::vector<int> ref = full_graph_distances(t, s);
     for (NodeId n = 0; n < t.node_count(); ++n) {
@@ -193,6 +241,10 @@ void expect_routes_match(const RoutingTable& routes, const Topology& t,
         ASSERT_EQ(got[i].egress, want[i].egress);
         ASSERT_EQ(got[i].ingress, want[i].ingress);
       }
+      if (n % origin_stride == 0) {
+        expect_route_matches(routes, t, ref, n, s);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }
@@ -200,94 +252,6 @@ void expect_routes_match(const RoutingTable& routes, const Topology& t,
 void expect_routes_match(const Topology& t, SubnetId stride) {
   const RoutingTable routes(t);
   expect_routes_match(routes, t, stride);
-}
-
-// A seeded random topology with every kind of route seed the routing plane
-// distinguishes: multi-access LANs with several routers (one with a dozen),
-// LANs with one router, host-only LANs, multi-homed hosts (the only hosts
-// that seed routes, by delivering onto a target they are attached to), and
-// an island of routers no transit path from the rest reaches.
-struct RandomTopology {
-  Topology topo;
-  std::size_t multi_homed_hosts = 0;
-  std::size_t host_only_lans = 0;
-};
-
-// How many of each element random_topology draws. Routers come first, core
-// then island, so their NodeIds are their dense routing indices.
-struct Shape {
-  int core_routers = 24;
-  int island_routers = 4;
-  int transit_lans = 18;
-  int access_lans = 16;
-  int hosts = 40;
-};
-
-RandomTopology random_topology(std::uint64_t seed, const Shape& shape = {}) {
-  util::Rng rng(seed);
-  RandomTopology out;
-  TopologyBuilder t;
-  std::vector<std::uint32_t> next_host;  // by SubnetId: next free address
-  const auto lan = [&] {
-    const SubnetId id = t.add_subnet(net::Prefix::covering(
-        net::Ipv4Addr(0x0A000000u + 16u * static_cast<std::uint32_t>(
-                                              t.subnet_count())),
-        28));
-    next_host.push_back(1);
-    return id;
-  };
-  const auto join = [&](NodeId node, SubnetId subnet) {
-    if (t.interface_on(node, subnet) || next_host[subnet] > 14) return;
-    t.attach(node, subnet,
-             net::Ipv4Addr(t.subnet(subnet).prefix.network().value() +
-                           next_host[subnet]++));
-  };
-  const auto pick = [&](const std::vector<NodeId>& from) {
-    return from[rng.below(from.size())];
-  };
-
-  std::vector<NodeId> core;
-  std::vector<NodeId> island;
-  for (int i = 0; i < shape.core_routers; ++i)
-    core.push_back(t.add_router("r"));
-  for (int i = 0; i < shape.island_routers; ++i)
-    island.push_back(t.add_router("i"));
-  for (int i = 0; i < shape.transit_lans; ++i) {  // two to four routers each
-    const SubnetId s = lan();
-    for (std::uint64_t k = 2 + rng.below(3); k > 0; --k) join(pick(core), s);
-  }
-  const SubnetId backbone = lan();  // a dozen routers on one LAN
-  for (std::size_t k = 0; k < 12; ++k)
-    join(core[(5 * k + seed) % core.size()], backbone);
-  for (std::size_t i = 0; i + 1 < island.size(); ++i) {  // the island's LANs
-    const SubnetId s = lan();
-    join(island[i], s);
-    join(island[i + 1], s);
-  }
-
-  std::vector<SubnetId> access;  // LANs hosts live on
-  for (int i = 0; i < shape.access_lans; ++i) {
-    const SubnetId s = lan();
-    access.push_back(s);
-    const std::uint64_t routers = rng.below(3);  // 0: a host-only LAN
-    for (std::uint64_t k = 0; k < routers; ++k) join(pick(core), s);
-    if (routers == 0) ++out.host_only_lans;
-  }
-  const SubnetId island_access = lan();
-  join(island[0], island_access);
-  access.push_back(island_access);
-
-  for (int i = 0; i < shape.hosts; ++i) {
-    const NodeId h = t.add_host("h");
-    join(h, access[rng.below(access.size())]);
-    if (rng.chance(0.4)) {  // multi-homed: one or two more LANs of any kind
-      for (std::uint64_t k = 1 + rng.below(2); k > 0; --k)
-        join(h, static_cast<SubnetId>(rng.below(t.subnet_count())));
-    }
-    if (t.node(h).interfaces.size() > 1) ++out.multi_homed_hosts;
-  }
-  out.topo = std::move(t).build();
-  return out;
 }
 
 TEST(Routing, RoutesMatchFullGraphBfsOnRandomTopologiesWithMultiHomedHosts) {
@@ -300,9 +264,8 @@ TEST(Routing, RoutesMatchFullGraphBfsOnRandomTopologiesWithMultiHomedHosts) {
   }
 }
 
-// The plane fills distance rows 64 routers per BFS pass. 157 routers make
-// two full blocks and a partial third; transit LANs join routers of
-// different blocks, and the island's routers are the last ones.
+// A larger case, 157 routers, whose transit LANs join routers far apart in
+// index order, with the island's routers last.
 TEST(Routing, RoutesMatchFullGraphBfsAcrossBlockBoundaries) {
   Shape shape;
   shape.core_routers = 150;
@@ -331,7 +294,7 @@ TEST(Routing, RoutesMatchFullGraphBfsAcrossBlockBoundaries) {
 }
 
 // A chain of routers one /31 apart, with a host on a stub LAN at each end:
-// the depth of a chain is the number of BFS levels a block's pass runs.
+// the depth of a chain is the number of levels its routes span.
 Topology router_chain(std::uint32_t routers) {
   TopologyBuilder t;
   const NodeId head_host = t.add_host("head");
@@ -364,6 +327,38 @@ TEST(Routing, RoutesMatchFullGraphBfsOnRouterChains) {
     EXPECT_EQ(routes.distance(0, 1), static_cast<int>(routers));
     expect_routes_match(routes, t, 1);
   }
+}
+
+// One LAN of 160 routers: 80 of them attached to the target, 80 to the
+// origin's LAN. The origin's route holds 80 x 80 next hops across the LAN,
+// three 32-bit words each, 76 KB: more than one 64 KB block of the table's
+// route storage. Routes built after it must neither overlap it nor be
+// corrupted, so every route is checked as it is built and read again once
+// all are.
+TEST(Routing, RoutesMatchFullGraphBfsThroughOneLargeLan) {
+  TopologyBuilder b;
+  const NodeId origin = b.add_host("origin");
+  const SubnetId home = b.add_subnet(pfx("10.1.0.0/24"));
+  const SubnetId lan = b.add_subnet(pfx("10.2.0.0/24"));
+  const SubnetId target = b.add_subnet(pfx("10.3.0.0/24"));
+  b.attach(origin, home, ip("10.1.0.200"));
+  for (std::uint32_t i = 0; i < 160; ++i) {
+    const NodeId router = b.add_router("r");
+    b.attach(router, lan, net::Ipv4Addr(ip("10.2.0.1").value() + i));
+    b.attach(router, i < 80 ? target : home,
+             net::Ipv4Addr((i < 80 ? ip("10.3.0.1") : ip("10.1.0.1")).value() +
+                           i % 80));
+  }
+  const Topology t = std::move(b).build();
+  const RoutingTable routes(t);
+
+  const RoutingTable::Route large = routes.route(origin, target);
+  ASSERT_EQ(routes.distance(origin, target), 2);
+  ASSERT_EQ(large.hop_count(large.origin()), 80u);
+  for (std::uint32_t i = 0; i < 80; ++i)
+    ASSERT_EQ(large.hop_count(large.hop(large.origin(), i).member), 80u);
+  expect_routes_match(routes, t, 1);
+  expect_routes_match(routes, t, 1);
 }
 
 // Every change to a topology is a new snapshot with a table of its own, so
@@ -491,6 +486,77 @@ TEST(Routing, ConcurrentColdQueriesMatchSerialTable) {
   EXPECT_GT(queries.size(), 1000u);
 }
 
+// Routes are built and published lock-free on the walk: four threads send
+// one probe set from the three vantages into one cold Network — every route,
+// origin row and reply-destination row is built under contention — and
+// every reply must equal a serial Network's. Flakiness and per-packet
+// balancing, whose replies depend on the probe order, are taken out; every
+// fourth router answers from its shortest-path interface.
+TEST(Routing, ConcurrentColdWalksMatchSerialNetwork) {
+  topo::SimulatedInternet internet =
+      topo::build_internet(topo::default_isp_profiles(), 7);
+  test::edit(internet.topo, [](TopologyBuilder& b) {
+    for (InterfaceId i = 0; i < b.interface_count(); ++i)
+      b.interface_mut(i).flakiness = 0.0;
+    for (NodeId n = 0; n < b.node_count(); ++n) {
+      b.set_per_packet_load_balancing(n, false);
+      if (b.node(n).is_host || n % 4 != 0) continue;
+      ResponseConfig config = b.node(n).config_for(net::ProbeProtocol::kIcmp);
+      config.indirect = ResponsePolicy::kShortestPath;
+      b.set_response_config_all(n, config);
+    }
+  });
+  const Topology& t = internet.topo;
+
+  struct Send {
+    NodeId origin;
+    net::Probe probe;
+    net::ProbeReply reply;
+  };
+  std::vector<Send> sends;
+  {
+    const RoutingTable table(t);
+    Network serial(t);
+    for (SubnetId s = 0; s < t.subnet_count(); s += 11) {
+      if (t.subnet(s).interfaces.empty()) continue;
+      const NodeId origin = internet.vantages[s % internet.vantages.size()];
+      const int distance = table.distance(origin, s);
+      net::Probe probe;
+      probe.target = t.interface(t.subnet(s).interfaces.front()).addr;
+      probe.flow_id = static_cast<std::uint16_t>(1 + s % 3);
+      for (int ttl = 1; ttl <= distance + 1 || ttl == 1; ++ttl) {
+        probe.ttl = static_cast<std::uint8_t>(ttl);
+        sends.push_back(Send{origin, probe, serial.send_probe(origin, probe)});
+      }
+      probe.ttl = net::kDirectProbeTtl;
+      sends.push_back(Send{origin, probe, serial.send_probe(origin, probe)});
+    }
+  }
+
+  Network shared(t);
+  std::atomic<int> ready{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 4; ++k) {
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) std::this_thread::yield();
+      // Two threads walk forward and two backward, so they meet on cold
+      // routes.
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        const Send& send = sends[k % 2 == 0 ? i : sends.size() - 1 - i];
+        const net::ProbeReply reply = shared.send_probe(send.origin, send.probe);
+        if (reply.type != send.reply.type ||
+            reply.responder != send.reply.responder)
+          mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(sends.size(), 1000u);
+}
+
 TEST(Routing, RoutesMatchFullGraphBfsOnReferenceTopologies) {
   expect_routes_match(topo::internet2_like(42).topo, 1);
   expect_routes_match(topo::geant_like(43).topo, 1);
@@ -499,10 +565,12 @@ TEST(Routing, RoutesMatchFullGraphBfsOnReferenceTopologies) {
 TEST(Routing, RoutesMatchFullGraphBfsOnSimulatedInternetSample) {
   // ISP-scale spot check: every 97th subnet of the 12k-node simulated
   // internet, all nodes — the multi-access /20 LANs here are exactly what
-  // the router-slice BFS exists to avoid scanning.
+  // the router-slice BFS exists to avoid scanning. Routes are walked from
+  // every 37th node, since each origin holds a route slot per subnet.
   const topo::SimulatedInternet internet =
       topo::build_internet(topo::default_isp_profiles(), 7);
-  expect_routes_match(internet.topo, 97);
+  const RoutingTable routes(internet.topo);
+  expect_routes_match(routes, internet.topo, 97, 37);
 }
 
 }  // namespace
