@@ -1,9 +1,7 @@
 #include "core/exploration.h"
 
-#include <algorithm>
 #include <bit>
 #include <set>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +27,7 @@ net::Prefix minimal_covering(const std::set<net::Ipv4Addr>& members,
 }  // namespace
 
 ObservedSubnet SubnetExplorer::explore(const Position& position) {
-  const std::uint64_t probes_before = engine_.probes_issued();
+  const std::uint64_t probes_before = prober_.engine.probes_issued();
 
   Context ctx;
   ctx.pivot = position.pivot;
@@ -40,10 +38,9 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
 
   std::set<net::Ipv4Addr> members{ctx.pivot};
   StopReason stop = StopReason::kPrefixFloor;
-  const int window = config_.probe_window < 1 ? 1 : config_.probe_window;
 
   trace::Recorder* rec =
-      trace::on(config_.recorder, trace::Level::kSession) ? config_.recorder
+      trace::on(prober_.recorder, trace::Level::kSession) ? prober_.recorder
                                                           : nullptr;
   if (rec != nullptr)
     rec->event("explore").addr("pivot", ctx.pivot).num("jh", ctx.jh);
@@ -52,7 +49,8 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
   // collected) once this exploration has spent its wire-probe budget.
   const auto budget_spent = [&] {
     return config_.probe_budget != 0 &&
-           engine_.probes_issued() - probes_before >= config_.probe_budget;
+           prober_.engine.probes_issued() - probes_before >=
+               config_.probe_budget;
   };
   bool out_of_budget = false;
 
@@ -72,7 +70,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
                                   : level.lower_half();
     bool shrunk = false;
 
-    if (window > 1 || config_.adaptive != nullptr) {
+    if (prober_.windowed()) {
       // Prescan the level's candidates with overlapped waves; the serial
       // walk below then consumes the replies in address order out of the
       // probe cache.
@@ -80,7 +78,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
       candidates.reserve(static_cast<std::size_t>(fresh.size()));
       for (std::uint64_t index = 0; index < fresh.size(); ++index)
         candidates.push_back(fresh.at(index));
-      if (config_.adaptive != nullptr)
+      if (prober_.controller != nullptr)
         adaptive_prescan(candidates, ctx);
       else
         prescan(candidates, ctx);
@@ -162,7 +160,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
   out.on_trace_path = ctx.on_trace_path;
   out.stop = stop;
   out.stopped_by = ctx.fired;
-  out.probes_used = engine_.probes_issued() - probes_before;
+  out.probes_used = prober_.engine.probes_issued() - probes_before;
 
   if (rec != nullptr) {
     // probes_used is deliberately absent: it counts wire probes, which vary
@@ -191,7 +189,7 @@ SubnetExplorer::Verdict SubnetExplorer::test_candidate(net::Ipv4Addr l,
     ctx.fired = Heuristic::kH2UpperBoundSubnet;
     return Verdict::kShrink;
   }
-  if (!alive(r2)) return Verdict::kSkip;
+  if (!prober_.alive(r2)) return Verdict::kSkip;
 
   // --- H5 mate-31 subnet contiguity ----------------------------------------
   // The pivot's own mate is on the subnet by Mate-31 Adjacency (§3.2(iv)).
@@ -205,8 +203,8 @@ SubnetExplorer::Verdict SubnetExplorer::test_candidate(net::Ipv4Addr l,
     // pivot's mate sits on the ingress router one hop closer). Designate it
     // now so H3's single-contra-pivot rule and H8's exception stay sound for
     // the rest of the exploration; H4's confidence check still applies.
-    if (!ctx.contra_pivot && alive(probe_at(l, ctx.jh - 1)) &&
-        !alive(probe_at(l, ctx.jh - 2))) {
+    if (!ctx.contra_pivot && prober_.alive(probe_at(l, ctx.jh - 1)) &&
+        !prober_.alive(probe_at(l, ctx.jh - 2))) {
       ctx.contra_pivot = l;
     }
     return Verdict::kAdd;
@@ -214,7 +212,7 @@ SubnetExplorer::Verdict SubnetExplorer::test_candidate(net::Ipv4Addr l,
 
   // --- H3 / H6 shared probe <l, jh-1> --------------------------------------
   const net::ProbeReply r36 = probe_at(l, ctx.jh - 1);
-  if (alive(r36)) {
+  if (prober_.alive(r36)) {
     // Alive one hop closer: contra-pivot candidate (H3).
     if (ctx.contra_pivot) {
       ctx.fired = Heuristic::kH3SingleContraPivot;  // second contra-pivot
@@ -222,7 +220,7 @@ SubnetExplorer::Verdict SubnetExplorer::test_candidate(net::Ipv4Addr l,
     }
     // H4 lower-bound subnet contiguity: a true contra-pivot is exactly one
     // hop closer, never two.
-    if (alive(probe_at(l, ctx.jh - 2))) {
+    if (prober_.alive(probe_at(l, ctx.jh - 2))) {
       ctx.fired = Heuristic::kH4LowerBoundSubnet;
       return Verdict::kShrink;
     }
@@ -277,46 +275,18 @@ void SubnetExplorer::prescan(const std::vector<net::Ipv4Addr>& candidates,
   auto queue = [&](net::Ipv4Addr target, int ttl) {
     if (ttl < 1) return;
     if (prescanned_.insert(prescan_key(target, ttl)).second) ++spec_spent_;
-    wave.push_back(make_probe(target, ttl));
+    wave.push_back(prober_.make(target, ttl));
   };
   for (const net::Ipv4Addr l : candidates) {
     queue(l, ctx.jh);
     queue(l, ctx.jh - 1);
     queue(l, ctx.jh - 2);
   }
-  const std::size_t window =
-      static_cast<std::size_t>(config_.probe_window < 1 ? 1
-                                                        : config_.probe_window);
-  for (std::size_t begin = 0; begin < wave.size(); begin += window) {
-    const std::size_t count = std::min(window, wave.size() - begin);
-    engine_.probe_batch(std::span<const net::Probe>(wave).subspan(begin, count));
-  }
-}
-
-std::vector<net::ProbeReply> SubnetExplorer::send_adaptive_wave(
-    const std::vector<net::Probe>& wave) {
-  probe::AdaptiveController& ctrl = *config_.adaptive;
-  std::vector<net::ProbeReply> replies;
-  replies.reserve(wave.size());
-  std::size_t begin = 0;
-  while (begin < wave.size()) {
-    const std::size_t count = std::min(
-        static_cast<std::size_t>(ctrl.window()), wave.size() - begin);
-    const auto chunk = std::span<const net::Probe>(wave).subspan(begin, count);
-    ctrl.pace();
-    const std::uint64_t mark = ctrl.begin_wave();
-    const std::vector<net::ProbeReply> fresh = engine_.probe_batch(chunk);
-    ctrl.end_wave(mark, chunk, fresh);
-    replies.insert(replies.end(), fresh.begin(), fresh.end());
-    begin += count;
-  }
-  return replies;
+  prober_.send(wave);  // replies warm the session cache
 }
 
 void SubnetExplorer::adaptive_prescan(
     const std::vector<net::Ipv4Addr>& candidates, const Context& ctx) {
-  probe::AdaptiveController& ctrl = *config_.adaptive;
-  const std::uint32_t budget = ctrl.policy().level_budget;
   std::uint32_t submitted = 0;
 
   // Budget + dedup gate: false once the level's speculative budget is spent.
@@ -325,11 +295,11 @@ void SubnetExplorer::adaptive_prescan(
   const auto admit = [&](std::vector<net::Probe>& wave, net::Ipv4Addr target,
                          int ttl) {
     if (ttl < 1) return true;
-    if (budget != 0 && submitted >= budget) return false;
+    if (submitted >= probe::kLevelBudget) return false;
     if (!prescanned_.insert(prescan_key(target, ttl)).second) return true;
     ++submitted;
     ++spec_spent_;
-    wave.push_back(make_probe(target, ttl));
+    wave.push_back(prober_.make(target, ttl));
     return true;
   };
 
@@ -344,7 +314,7 @@ void SubnetExplorer::adaptive_prescan(
     if (!admit(phase_a, candidates[i], ctx.jh)) break;
     if (phase_a.size() > before) owner.push_back(i);
   }
-  const std::vector<net::ProbeReply> replies = send_adaptive_wave(phase_a);
+  const std::vector<net::ProbeReply> replies = prober_.send(phase_a);
 
   std::vector<const net::ProbeReply*> at_jh(candidates.size(), nullptr);
   std::unordered_map<std::uint32_t, const net::ProbeReply*> reply_of;
@@ -361,7 +331,7 @@ void SubnetExplorer::adaptive_prescan(
   // probe per candidate instead of three.
   std::vector<net::Probe> phase_b;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (at_jh[i] == nullptr || !alive(*at_jh[i])) continue;
+    if (at_jh[i] == nullptr || !prober_.alive(*at_jh[i])) continue;
     const net::Ipv4Addr l = candidates[i];
     const net::Ipv4Addr mate = l.mate31();
     if (!admit(phase_b, l, ctx.jh - 1) || !admit(phase_b, l, ctx.jh - 2) ||
@@ -382,7 +352,7 @@ void SubnetExplorer::adaptive_prescan(
       }
     }
   }
-  send_adaptive_wave(phase_b);  // replies warm the session cache
+  prober_.send(phase_b);  // replies warm the session cache
 }
 
 bool SubnetExplorer::far_fringe_check(net::Ipv4Addr l, const Context& ctx) {
@@ -408,12 +378,12 @@ bool SubnetExplorer::close_fringe_check(net::Ipv4Addr l, const Context& ctx) {
   const net::Ipv4Addr mate = l.mate31();
   if (ctx.contra_pivot && mate == *ctx.contra_pivot) return true;
   const net::ProbeReply r = probe_at(mate, ctx.jh - 1);
-  if (alive(r)) return false;
+  if (prober_.alive(r)) return false;
   if (config_.mate30_fallback &&
       (r.is_none() || r.type == net::ResponseType::kHostUnreachable)) {
     const net::Ipv4Addr mate30 = l.mate30();
     if (ctx.contra_pivot && mate30 == *ctx.contra_pivot) return true;
-    if (alive(probe_at(mate30, ctx.jh - 1))) return false;
+    if (prober_.alive(probe_at(mate30, ctx.jh - 1))) return false;
   }
   return true;
 }

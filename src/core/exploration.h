@@ -13,23 +13,27 @@
 // the <l, jh-1> probe serves both H3 (contra-pivot detection) and H6 (fixed
 // entry points), and repeated probes are absorbed by an optional caching
 // engine layered underneath.
+//
+// With a windowed prober (core/prober.h) each growth level is *prescanned*
+// by overlapped waves before the unchanged serial walk consumes the replies
+// in address order out of the probe cache. The heuristic chain therefore
+// fires identically to window 1; a wave may merely probe candidates past a
+// mid-level stop or at depths the walk never asks for (extra wire probes,
+// never different subnets). A prescan needs a caching engine above the wire
+// to pay off; without one its probes are simply re-issued. Journal events
+// sit on the serial walk, so they are identical across windows.
 #pragma once
 
 #include <unordered_set>
 #include <vector>
 
 #include "core/positioning.h"
+#include "core/prober.h"
 #include "core/types.h"
-#include "probe/adaptive.h"
-#include "probe/engine.h"
-#include "trace/journal.h"
 
 namespace tn::core {
 
 struct ExplorerConfig {
-  net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
-  std::uint16_t flow_id = 0;
-  std::uint8_t epoch = 0;  // routing epoch stamped on probes (SessionConfig)
   // Growth floor: never grow beyond this prefix length. The paper's loop
   // runs to /0 and relies on the utilization rule to stop; a floor bounds
   // probe cost against pathological topologies. /16 is far below the /20
@@ -42,41 +46,18 @@ struct ExplorerConfig {
   bool h6_enabled = true;
   // H8 on: close-fringe detection. Ablation knob.
   bool h8_enabled = true;
-  // In-flight probe window: with a window of W each growth level is
-  // *prescanned* by overlapped waves of up to W probes — <l, jh>, <l, jh-1>
-  // and <l, jh-2> for every unexamined candidate of the level — before the
-  // unchanged serial walk consumes the replies in address order out of the
-  // probe cache. The heuristic chain therefore fires identically to
-  // window 1; a wave may merely probe candidates past a mid-level stop or at
-  // depths the walk never asks for (extra wire probes, never different
-  // subnets). Needs a caching engine above the wire to pay off; without one
-  // the prescan probes are simply re-issued. 1 (the default) is the strictly
-  // sequential historical behavior.
-  int probe_window = 1;
-  // Adaptive probing controller (probe/adaptive.h), owned by the session;
-  // nullptr = fixed-window behavior. When set, growth levels use the
-  // two-phase feedback prescan (adaptive_prescan) under the controller's
-  // window/pacing decisions and per-level speculative budget, instead of the
-  // fixed 3-probes-per-candidate prescan. The serial walk is untouched, so
-  // the collected subnets stay byte-identical to every other policy.
-  probe::AdaptiveController* adaptive = nullptr;
   // Wire-probe ceiling for one exploration (0 = unlimited). On a lossy or
   // rate-limited network retries can multiply the probe cost of a level;
   // when the ceiling is hit, growth stops gracefully — whatever was
   // collected so far is reported with StopReason::kProbeBudget instead of
   // probing further. The pivot is always retained.
   std::uint64_t probe_budget = 0;
-  // Journal destination for session-level exploration events (one `heur`
-  // event per heuristic-chain evaluation, growth levels, H9 splits, the
-  // final subnet verdict); nullptr = tracing off. Events sit on the serial
-  // walk, so they are identical across probe_window settings.
-  trace::Recorder* recorder = nullptr;
 };
 
 class SubnetExplorer {
  public:
-  SubnetExplorer(probe::ProbeEngine& engine, ExplorerConfig config = {}) noexcept
-      : engine_(engine), config_(config) {}
+  SubnetExplorer(Prober prober, ExplorerConfig config = {}) noexcept
+      : prober_(prober), config_(config) {}
 
   // Grows and returns the observed subnet around `position`'s pivot.
   ObservedSubnet explore(const Position& position);
@@ -108,35 +89,21 @@ class SubnetExplorer {
   bool far_fringe_check(net::Ipv4Addr l, const Context& ctx);    // H7
   bool close_fringe_check(net::Ipv4Addr l, const Context& ctx);  // H8
 
-  // Windowed prescan of one growth level (see ExplorerConfig::probe_window):
-  // warms the probe cache with overlapped waves so the serial walk below
-  // resolves from memory instead of paying one RTT per candidate.
+  // Fixed-window prescan of one growth level: warms the probe cache with
+  // overlapped waves so the serial walk resolves from memory instead of
+  // paying one RTT per candidate.
   void prescan(const std::vector<net::Ipv4Addr>& candidates,
                const Context& ctx);
 
-  // Feedback prescan of one growth level (ExplorerConfig::adaptive): phase A
+  // Feedback prescan of one growth level (the prober's controller): phase A
   // probes every candidate at jh only; phase B sends the follow-up probes
   // only for candidates phase A proved alive — the ones the serial walk's
   // heuristic chain will actually interrogate. Waves are sized and paced by
-  // the controller, and total submissions are capped by its per-level
-  // budget; anything not prescanned is simply paid serially by the walk.
+  // the controller, and total submissions are capped at
+  // probe::kLevelBudget; anything not prescanned is simply paid serially by
+  // the walk.
   void adaptive_prescan(const std::vector<net::Ipv4Addr>& candidates,
                         const Context& ctx);
-
-  // Sends `wave` in controller-sized, controller-paced chunks and returns
-  // the replies in wave order.
-  std::vector<net::ProbeReply> send_adaptive_wave(
-      const std::vector<net::Probe>& wave);
-
-  net::Probe make_probe(net::Ipv4Addr target, int ttl) const noexcept {
-    net::Probe probe;
-    probe.target = target;
-    probe.ttl = static_cast<std::uint8_t>(ttl);
-    probe.protocol = config_.protocol;
-    probe.flow_id = config_.flow_id;
-    probe.epoch = config_.epoch;
-    return probe;
-  }
 
   // Ledger key for one (target, ttl) speculation; ttl is 1..255 here.
   static std::uint64_t prescan_key(net::Ipv4Addr target, int ttl) noexcept {
@@ -145,17 +112,13 @@ class SubnetExplorer {
   }
 
   net::ProbeReply probe_at(net::Ipv4Addr target, int ttl) {
-    if (ttl < 1) return net::ProbeReply::none();
-    if (!prescanned_.empty() && prescanned_.erase(prescan_key(target, ttl)) > 0)
+    if (ttl >= 1 && !prescanned_.empty() &&
+        prescanned_.erase(prescan_key(target, ttl)) > 0)
       ++spec_saved_;
-    return engine_.indirect(target, static_cast<std::uint8_t>(ttl),
-                            config_.protocol, config_.flow_id, config_.epoch);
-  }
-  bool alive(const net::ProbeReply& reply) const noexcept {
-    return net::is_alive_reply(config_.protocol, reply.type);
+    return prober_.at(target, ttl);
   }
 
-  probe::ProbeEngine& engine_;
+  Prober prober_;
   ExplorerConfig config_;
 
   // Outstanding speculations: keys prescanned but not yet consumed by the

@@ -32,7 +32,7 @@ MultipathResult MultipathDiscovery::run(net::Ipv4Addr destination) {
     hop.ttl = ttl;
     std::set<net::Ipv4Addr> seen;
     bool all_flows_delivered = true;
-    for (int flow = 0; flow < config_.flows_per_hop; ++flow) {
+    for (int flow = 0; flow < kFlowsPerHop; ++flow) {
       const net::ProbeReply reply = engine_.indirect(
           destination, static_cast<std::uint8_t>(ttl), config_.protocol,
           static_cast<std::uint16_t>(flow + 1), config_.epoch);
@@ -84,14 +84,13 @@ MultipathSessionResult MultipathTracenetSession::run(
   MultipathDiscovery discovery(cached, config_);
   result.paths = discovery.run(destination);
 
-  PositioningConfig pos_config;
-  pos_config.protocol = config_.protocol;
-  pos_config.epoch = config_.epoch;
-  ExplorerConfig explore_config;
-  explore_config.protocol = config_.protocol;
-  explore_config.epoch = config_.epoch;
-  SubnetPositioner positioner(cached, pos_config);
-  SubnetExplorer explorer(cached, explore_config);
+  // One flow for positioning and exploration, as in a single-path session;
+  // only discovery varies it.
+  Prober prober(cached);
+  prober.protocol = config_.protocol;
+  prober.epoch = config_.epoch;
+  SubnetPositioner positioner(prober);
+  SubnetExplorer explorer(prober);
 
   std::map<net::Prefix, ObservedSubnet> by_prefix;
   net::NestedPrefixIndex covered;  // by_prefix's non-/32 keys

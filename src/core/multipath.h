@@ -21,11 +21,12 @@
 
 namespace tn::core {
 
+// Flow identifiers tried per hop. 16 flows detect a 2-way split with
+// probability 1 - 2^-15; load balancers wider than ~6 ways need more.
+inline constexpr int kFlowsPerHop = 16;
+
 struct MultipathConfig {
   net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
-  // Flow identifiers tried per hop. 16 flows detect a 2-way split with
-  // probability 1 - 2^-15; load balancers wider than ~6 ways need more.
-  int flows_per_hop = 16;
   int max_ttl = 32;
   int anonymous_gap_limit = 4;
   // Routing epoch stamped on every probe (net::Probe::epoch), as

@@ -10,12 +10,12 @@ std::optional<int> SubnetPositioner::direct_distance(net::Ipv4Addr addr,
   // decreasing (backward) TTL values starting from d until it locates the
   // exact location of l."  The distance is the smallest TTL that elicits an
   // alive reply.
-  const net::ProbeReply at_hint = probe_at(addr, hint);
-  if (alive(at_hint)) {
+  const net::ProbeReply at_hint = prober_.at(addr, hint);
+  if (prober_.alive(at_hint)) {
     // Walk backward while still alive.
     int distance = hint;
-    while (distance > 1 && distance > hint - config_.distance_search_radius) {
-      if (!alive(probe_at(addr, distance - 1))) break;
+    while (distance > 1 && distance > hint - kDistanceSearchRadius) {
+      if (!prober_.alive(prober_.at(addr, distance - 1))) break;
       --distance;
     }
     return distance;
@@ -23,9 +23,9 @@ std::optional<int> SubnetPositioner::direct_distance(net::Ipv4Addr addr,
   if (at_hint.is_ttl_exceeded()) {
     // Farther than the hint: walk forward until delivered.
     for (int distance = hint + 1;
-         distance <= hint + config_.distance_search_radius; ++distance) {
-      const net::ProbeReply reply = probe_at(addr, distance);
-      if (alive(reply)) return distance;
+         distance <= hint + kDistanceSearchRadius; ++distance) {
+      const net::ProbeReply reply = prober_.at(addr, distance);
+      if (prober_.alive(reply)) return distance;
       if (!reply.is_ttl_exceeded()) return std::nullopt;  // went dark
     }
     return std::nullopt;
@@ -49,7 +49,7 @@ Position SubnetPositioner::position(std::optional<net::Ipv4Addr> u,
   if (vh != d) {
     result.on_trace_path = false;
   } else {
-    const net::ProbeReply before = probe_at(v, vh - 1);
+    const net::ProbeReply before = prober_.at(v, vh - 1);
     if (before.is_ttl_exceeded() && u && before.responder == *u) {
       result.on_trace_path = true;
     } else if (before.is_ttl_exceeded() && u && before.responder != *u) {
@@ -65,16 +65,13 @@ Position SubnetPositioner::position(std::optional<net::Ipv4Addr> u,
   // Lines 11-21: pivot designation via Mate-31 Adjacency. A TTL-exceeded
   // reply to <mate31(v), vh> means the subnet extends beyond v, so the true
   // pivot is v's mate, one hop deeper.
-  const net::ProbeReply mate_probe = probe_at(v.mate31(), vh);
+  const net::ProbeReply mate_probe = prober_.at(v.mate31(), vh);
   bool pivot_is_mate = false;
   if (mate_probe.is_ttl_exceeded()) {
-    if (alive(engine_.direct(v.mate31(), config_.protocol, config_.flow_id,
-                             config_.epoch))) {
+    if (prober_.alive(prober_.at(v.mate31(), net::kDirectProbeTtl))) {
       result.pivot = v.mate31();
       pivot_is_mate = true;
-    } else if (alive(
-                   engine_.direct(v.mate30(), config_.protocol, config_.flow_id,
-                                  config_.epoch))) {
+    } else if (prober_.alive(prober_.at(v.mate30(), net::kDirectProbeTtl))) {
       result.pivot = v.mate30();
       pivot_is_mate = true;
     }
@@ -88,7 +85,7 @@ Position SubnetPositioner::position(std::optional<net::Ipv4Addr> u,
 
   // Line 22: ingress designation.
   const net::ProbeReply ingress_probe =
-      probe_at(result.pivot, result.pivot_distance - 1);
+      prober_.at(result.pivot, result.pivot_distance - 1);
   if (ingress_probe.is_ttl_exceeded())
     result.ingress = ingress_probe.responder;
 

@@ -11,23 +11,21 @@
 //      then sits one hop deeper), exploiting Mate-31 Adjacency (§3.2(iv)),
 //   4. designates the ingress interface by expiring a probe one hop short of
 //      the pivot.
+// Its probes go one at a time through the session's core::Prober, so they
+// carry the session's protocol, flow id and epoch; a windowed session has
+// already warmed the opening three into its probe cache.
 #pragma once
 
 #include <optional>
 
+#include "core/prober.h"
 #include "core/types.h"
-#include "probe/engine.h"
 
 namespace tn::core {
 
-struct PositioningConfig {
-  net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
-  std::uint16_t flow_id = 0;
-  std::uint8_t epoch = 0;  // routing epoch stamped on probes (SessionConfig)
-  // How far from the trace hop distance the direct-distance search may roam
-  // before giving up and trusting the trace distance.
-  int distance_search_radius = 5;
-};
+// How far from the trace hop distance the direct-distance search may roam
+// before giving up and trusting the trace distance.
+inline constexpr int kDistanceSearchRadius = 5;
 
 struct Position {
   net::Ipv4Addr pivot;
@@ -39,9 +37,7 @@ struct Position {
 
 class SubnetPositioner {
  public:
-  SubnetPositioner(probe::ProbeEngine& engine,
-                   PositioningConfig config = {}) noexcept
-      : engine_(engine), config_(config) {}
+  explicit SubnetPositioner(Prober prober) noexcept : prober_(prober) {}
 
   // `u`: responder at hop d-1 (nullopt when anonymous or first hop).
   // `v`: responder at hop d.  When v is silent to direct probes the trace
@@ -54,17 +50,7 @@ class SubnetPositioner {
   std::optional<int> direct_distance(net::Ipv4Addr addr, int hint);
 
  private:
-  net::ProbeReply probe_at(net::Ipv4Addr target, int ttl) {
-    if (ttl < 1) return net::ProbeReply::none();
-    return engine_.indirect(target, static_cast<std::uint8_t>(ttl),
-                            config_.protocol, config_.flow_id, config_.epoch);
-  }
-  bool alive(const net::ProbeReply& reply) const noexcept {
-    return net::is_alive_reply(config_.protocol, reply.type);
-  }
-
-  probe::ProbeEngine& engine_;
-  PositioningConfig config_;
+  Prober prober_;
 };
 
 }  // namespace tn::core

@@ -1,7 +1,6 @@
 #include "core/session.h"
 
-#include <algorithm>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/log.h"
@@ -10,36 +9,24 @@ namespace tn::core {
 
 TracenetSession::TracenetSession(probe::ProbeEngine& wire_engine,
                                  SessionConfig config)
-    : wire_engine_(wire_engine), config_(config) {
-  config_.trace.protocol = config_.protocol;
-  config_.trace.flow_id = config_.flow_id;
-  config_.explore.protocol = config_.protocol;
-  config_.explore.flow_id = config_.flow_id;
-  config_.positioning.protocol = config_.protocol;
-  config_.positioning.flow_id = config_.flow_id;
-  set_epoch(config_.epoch);
-  config_.trace.probe_window = config_.probe_window;
-  config_.explore.probe_window = config_.probe_window;
-
-  if (config_.adaptive.enabled) {
-    controller_ = std::make_unique<probe::AdaptiveController>(
-        config_.adaptive, &wire_engine_, config_.clock);
-    config_.trace.adaptive = controller_.get();
-    config_.explore.adaptive = controller_.get();
-  }
-
-  probe::RetryConfig retry_config;
-  retry_config.attempts = config_.retry_attempts;
-  retry_config.backoff_base_us = config_.retry_backoff_us;
-  retry_config.per_target_budget = config_.retry_budget_per_target;
-  retry_config.clock = config_.clock;
-  retry_ = std::make_unique<probe::RetryingProbeEngine>(wire_engine_,
-                                                        retry_config);
-  top_ = retry_.get();
-  if (config_.use_probe_cache) {
-    cache_ = std::make_unique<probe::CachingProbeEngine>(*retry_);
-    top_ = cache_.get();
-  }
+    : wire_engine_(wire_engine),
+      config_(std::move(config)),
+      retry_(std::make_unique<probe::RetryingProbeEngine>(
+          wire_engine_, probe::RetryConfig{.attempts = config_.retry_attempts,
+                                           .clock = config_.clock})),
+      cache_(config_.use_probe_cache
+                 ? std::make_unique<probe::CachingProbeEngine>(*retry_)
+                 : nullptr),
+      controller_(config_.adaptive.enabled
+                      ? std::make_unique<probe::AdaptiveController>(
+                            config_.adaptive, &wire_engine_, config_.clock)
+                      : nullptr),
+      prober_(cache_ ? static_cast<probe::ProbeEngine&>(*cache_) : *retry_) {
+  prober_.protocol = config_.protocol;
+  prober_.flow_id = config_.flow_id;
+  prober_.epoch = config_.epoch;
+  prober_.window = config_.probe_window;
+  prober_.controller = controller_.get();
 }
 
 void TracenetSession::prescan_positioning(const TracePath& path) {
@@ -52,13 +39,7 @@ void TracenetSession::prescan_positioning(const TracePath& path) {
   wave.reserve(path.hops.size() * 3);
   auto queue = [&](net::Ipv4Addr target, int ttl) {
     if (ttl < 1 || ttl > 255) return;
-    net::Probe probe;
-    probe.target = target;
-    probe.ttl = static_cast<std::uint8_t>(ttl);
-    probe.protocol = config_.protocol;
-    probe.flow_id = config_.flow_id;
-    probe.epoch = config_.epoch;
-    wave.push_back(probe);
+    wave.push_back(prober_.make(target, ttl));
   };
   for (const TraceHop& hop : path.hops) {
     if (hop.anonymous()) continue;
@@ -67,22 +48,7 @@ void TracenetSession::prescan_positioning(const TracePath& path) {
     queue(v, hop.ttl - 1);
     queue(v.mate31(), hop.ttl);
   }
-  std::size_t begin = 0;
-  while (begin < wave.size()) {
-    const std::size_t window = static_cast<std::size_t>(
-        controller_ ? controller_->window() : config_.probe_window);
-    const std::size_t count = std::min(window, wave.size() - begin);
-    const auto chunk = std::span<const net::Probe>(wave).subspan(begin, count);
-    if (controller_) {
-      controller_->pace();
-      const std::uint64_t mark = controller_->begin_wave();
-      const std::vector<net::ProbeReply> replies = top_->probe_batch(chunk);
-      controller_->end_wave(mark, chunk, replies);
-    } else {
-      top_->probe_batch(chunk);
-    }
-    begin += count;
-  }
+  prober_.send(wave);  // replies warm the session cache
 }
 
 SessionResult TracenetSession::run(net::Ipv4Addr destination) {
@@ -97,17 +63,18 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
 
   SessionResult result;
 
-  trace::Recorder* rec =
-      trace::on(recorder_, trace::Level::kSession) ? recorder_ : nullptr;
+  trace::Recorder* rec = trace::on(prober_.recorder, trace::Level::kSession)
+                             ? prober_.recorder
+                             : nullptr;
   if (rec != nullptr)
-    rec->event("session").word("proto", net::to_string(config_.protocol));
+    rec->event("session").word("proto", net::to_string(prober_.protocol));
 
-  Traceroute tracer(*top_, config_.trace);
+  Traceroute tracer(prober_, config_.trace);
   result.path = tracer.run(destination);
-  if (config_.probe_window > 1 || controller_) prescan_positioning(result.path);
+  if (prober_.windowed()) prescan_positioning(result.path);
 
-  SubnetPositioner positioner(*top_, config_.positioning);
-  SubnetExplorer explorer(*top_, config_.explore);
+  SubnetPositioner positioner(prober_);
+  SubnetExplorer explorer(prober_, config_.explore);
 
   std::optional<net::Ipv4Addr> previous;  // u: responder at the previous hop
   for (const TraceHop& hop : result.path.hops) {
@@ -118,22 +85,20 @@ SessionResult TracenetSession::run(net::Ipv4Addr destination) {
     }
     const net::Ipv4Addr v = hop.reply.responder;
 
-    if (config_.skip_covered_hops) {
-      bool covered = false;
-      for (const ObservedSubnet& subnet : result.subnets) {
-        if (subnet.contains(v) ||
-            (subnet.members.size() == 1 && subnet.members.front() == v)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered && config_.covered_externally && config_.covered_externally(v))
+    bool covered = false;
+    for (const ObservedSubnet& subnet : result.subnets) {
+      if (subnet.contains(v) ||
+          (subnet.members.size() == 1 && subnet.members.front() == v)) {
         covered = true;
-      if (covered) {
-        if (rec != nullptr) rec->event("hop_skip").addr("addr", v);
-        previous = v;
-        continue;
+        break;
       }
+    }
+    if (!covered && config_.covered_externally && config_.covered_externally(v))
+      covered = true;
+    if (covered) {
+      if (rec != nullptr) rec->event("hop_skip").addr("addr", v);
+      previous = v;
+      continue;
     }
 
     const Position position = positioner.position(previous, v, hop.ttl);

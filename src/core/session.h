@@ -7,7 +7,9 @@
 // The engine stack mirrors the paper's implementation notes: retries absorb
 // loss (§3.8), a per-session probe cache realizes the merged-heuristic probe
 // sharing (§3.5), and a constant flow id keeps per-flow load balancers from
-// scattering the path (§3.8 / Paris traceroute).
+// scattering the path (§3.8 / Paris traceroute). The session probes through
+// one core::Prober — the top of that stack, the session's probe identity,
+// its wave policy and its journal recorder — and hands each algorithm a copy.
 #pragma once
 
 #include <functional>
@@ -15,6 +17,7 @@
 
 #include "core/exploration.h"
 #include "core/positioning.h"
+#include "core/prober.h"
 #include "core/traceroute.h"
 #include "core/types.h"
 #include "probe/adaptive.h"
@@ -26,30 +29,23 @@
 namespace tn::core {
 
 struct SessionConfig {
+  // The identity every probe of the session carries (core::Prober).
   net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
   std::uint16_t flow_id = 0;
   // Routing epoch stamped on every probe of the session (net::Probe::epoch).
   // Campaigns running under a churn fault spec set this per target from
-  // FaultSpec::epoch_of(target_index); 0 otherwise.
+  // FaultSpec::epoch_of(target_index), through set_epoch; 0 otherwise.
   std::uint8_t epoch = 0;
-  TracerouteConfig trace;          // protocol/flow_id fields overridden
-  ExplorerConfig explore;          // protocol/flow_id fields overridden
-  PositioningConfig positioning;   // protocol/flow_id fields overridden
+  TracerouteConfig trace;
+  ExplorerConfig explore;
   int retry_attempts = 2;          // total tries per probe (§3.8 re-probe)
-  // Exponential backoff between retries (probe::RetryConfig). 0 base (the
-  // default) retries immediately — the right call on the simulator; live
-  // engines set a real base to ride out rate-limiting windows.
-  std::uint64_t retry_backoff_us = 0;
-  // Lifetime retry cap per target address (0 = unlimited): keeps a
-  // black-holed address from doubling the probe bill of every trace.
-  std::uint64_t retry_budget_per_target = 0;
   bool use_probe_cache = true;     // merged-heuristic probe sharing (§3.5)
-  // In-flight probe window for trace collection and subnet exploration
-  // (overrides the trace/explore fields): waves of up to this many probes
-  // overlap their round trips through ProbeEngine::probe_batch, cutting a
-  // session's RTT-bound wall clock by roughly the window size while the
-  // output stays byte-identical on stable networks (docs/PROBING.md).
-  // 1 = strictly sequential probing (the historical behavior).
+  // In-flight probe window for trace collection and subnet exploration:
+  // waves of up to this many probes overlap their round trips through
+  // ProbeEngine::probe_batch, cutting a session's RTT-bound wall clock by
+  // roughly the window size while the output stays byte-identical on stable
+  // networks (docs/PROBING.md). 1 = strictly sequential probing (the
+  // historical behavior).
   int probe_window = 1;
   // Adaptive probing policy (probe/adaptive.h, docs/PROBING.md "Adaptive
   // policy"): when adaptive.enabled, a per-session feedback controller sizes
@@ -62,16 +58,14 @@ struct SessionConfig {
   // the adaptive controller's pacing. nullptr = wall clock; campaigns under
   // --virtual-time inject the scheduler so sleeps elapse on simulated time.
   util::Clock* clock = nullptr;
-  // Skip positioning+exploration for a hop whose address already lies inside
-  // a subnet collected earlier in this session.
-  bool skip_covered_hops = true;
-  // Optional cross-session coverage oracle: when set (and skip_covered_hops
-  // is on), a hop inside a subnet some *other* session already explored is
-  // skipped too — the Doubletree-style shared stop set of the concurrent
-  // campaign runtime. Skipped subnets are absent from this session's result;
-  // the campaign merge re-unions them from whichever session grew them.
-  // Trades strict per-session completeness for probe savings, so the
-  // runtime only wires it up in non-deterministic (fast) mode.
+  // Optional cross-session coverage oracle: when set, a hop inside a subnet
+  // some *other* session already explored is skipped, as a hop inside a
+  // subnet this session collected always is — the Doubletree-style shared
+  // stop set of the concurrent campaign runtime. Skipped subnets are absent
+  // from this session's result; the campaign merge re-unions them from
+  // whichever session grew them. Trades strict per-session completeness for
+  // probe savings, so the runtime only wires it up in non-deterministic
+  // (fast) mode.
   std::function<bool(net::Ipv4Addr)> covered_externally;
 };
 
@@ -94,32 +88,24 @@ class TracenetSession {
 
   // Journal destination for this session's events (flight recorder). Session
   // objects are reused across targets, so the campaign runtime swaps the
-  // recorder per run; nullptr disables tracing. The pointer is propagated
-  // into the traceroute/explorer configs and the decorator stack.
+  // recorder per run; nullptr disables tracing. It goes to the prober, which
+  // every algorithm copies at the start of a run, and to the decorator stack.
   void set_recorder(trace::Recorder* recorder) noexcept {
-    recorder_ = recorder;
-    config_.trace.recorder = recorder;
-    config_.explore.recorder = recorder;
+    prober_.recorder = recorder;
     if (cache_) cache_->set_recorder(recorder);
-    if (retry_) retry_->set_recorder(recorder);
+    retry_->set_recorder(recorder);
   }
 
   // Routing epoch for subsequent runs (routing churn, sim/faults.h). Session
   // objects are reused across targets, so the campaign sets this per run,
-  // like set_recorder; it is propagated into every sub-config.
-  void set_epoch(std::uint8_t epoch) noexcept {
-    config_.epoch = epoch;
-    config_.trace.epoch = epoch;
-    config_.explore.epoch = epoch;
-    config_.positioning.epoch = epoch;
-  }
+  // like set_recorder.
+  void set_epoch(std::uint8_t epoch) noexcept { prober_.epoch = epoch; }
 
  private:
-  // Windowed (probe_window > 1) and adaptive modes: warms the probe cache
-  // with the first probes subnet positioning will pay for every named hop of
-  // `path` — <v, d>, <v, d-1> and <mate31(v), d> — as overlapped waves, so
-  // the serial positioning logic resolves them from memory. Under the
-  // adaptive controller the waves are controller-sized and paced.
+  // Windowed and adaptive modes: warms the probe cache with the first probes
+  // subnet positioning will pay for every named hop of `path` — <v, d>,
+  // <v, d-1> and <mate31(v), d> — as one wave through the prober, so the
+  // serial positioning logic resolves them from memory.
   void prescan_positioning(const TracePath& path);
 
   probe::ProbeEngine& wire_engine_;
@@ -131,8 +117,9 @@ class TracenetSession {
   // cached-vs-fresh input is measured against wire_engine_ — the per-worker
   // scope — which keeps decisions schedule-invariant under --jobs.
   std::unique_ptr<probe::AdaptiveController> controller_;
-  probe::ProbeEngine* top_ = nullptr;  // top of the decorator stack
-  trace::Recorder* recorder_ = nullptr;
+  // The top of the decorator stack with the session's identity and wave
+  // policy; declared after what it points into.
+  Prober prober_;
 };
 
 }  // namespace tn::core

@@ -3,57 +3,43 @@
 // Serves two roles: the *trace collection* mode of tracenet (§3.3, "similar
 // to traceroute, tracenet gradually extends a trace path by obtaining an IP
 // address via indirect probing at each hop"), and the standalone baseline the
-// paper compares against. Flow identifiers are held constant per session in
-// the spirit of Paris traceroute (§3.8 names that as the planned approach),
-// so per-flow load balancers do not scatter the path.
+// paper compares against. Every probe carries the prober's identity, whose
+// flow identifier is held constant per session in the spirit of Paris
+// traceroute (§3.8 names that as the planned approach), so per-flow load
+// balancers do not scatter the path.
+//
+// With a windowed prober (core/prober.h) the TTLs go out in waves of up to
+// the current window, so a wave pays one overlapped round trip instead of
+// one per TTL. Replies are consumed in TTL order through the same serial
+// stop logic, so the collected path is identical to window 1 on stable
+// networks — a wave may merely probe a few TTLs past the stopping hop (extra
+// wire probes, never extra hops). Hop events record *consumed* replies only,
+// so the journal is identical across windows too.
 #pragma once
 
+#include "core/prober.h"
 #include "core/types.h"
-#include "probe/adaptive.h"
-#include "probe/engine.h"
-#include "trace/journal.h"
 
 namespace tn::core {
 
 struct TracerouteConfig {
-  net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
-  std::uint16_t flow_id = 0;
-  std::uint8_t epoch = 0;  // routing epoch stamped on probes (SessionConfig)
   int max_ttl = 32;
   // Give up after this many consecutive anonymous hops (firewalled tail or
   // unreachable destination).
   int anonymous_gap_limit = 4;
-  // In-flight probe window: with a window of W the trace probes TTLs in
-  // waves of up to W through ProbeEngine::probe_batch, so a wave pays one
-  // overlapped round trip instead of W sequential ones. Replies are consumed
-  // in TTL order through the unchanged serial stop logic, so the collected
-  // path is identical to window 1 on stable networks — the wave may merely
-  // probe a few TTLs past the stopping hop (extra wire probes, never extra
-  // hops). 1 (the default) is the strictly sequential historical behavior.
-  int probe_window = 1;
-  // Adaptive probing controller (probe/adaptive.h), owned by the session;
-  // nullptr = fixed-window behavior. When set, each TTL wave is sized by the
-  // controller's current window and paced by its backoff, overriding
-  // probe_window; the serial stop logic is untouched, so the collected path
-  // is identical either way.
-  probe::AdaptiveController* adaptive = nullptr;
-  // Journal destination for session-level hop events; nullptr = tracing off.
-  // Hop events record *consumed* replies only, so they are identical across
-  // probe_window settings (a wave's discarded prefetches never appear).
-  trace::Recorder* recorder = nullptr;
 };
 
 class Traceroute {
  public:
-  Traceroute(probe::ProbeEngine& engine, TracerouteConfig config = {}) noexcept
-      : engine_(engine), config_(config) {}
+  Traceroute(Prober prober, TracerouteConfig config = {}) noexcept
+      : prober_(prober), config_(config) {}
 
   // Probes hop by hop toward `destination` until the destination answers,
   // the anonymous-gap limit trips, a forwarding loop is detected, or max_ttl.
   TracePath run(net::Ipv4Addr destination);
 
  private:
-  probe::ProbeEngine& engine_;
+  Prober prober_;
   TracerouteConfig config_;
 };
 

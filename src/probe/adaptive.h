@@ -11,11 +11,16 @@
 //     probes that actually cross the wire, shrinks it when waves resolve
 //     mostly from the session probe cache (speculation is outrunning demand);
 //   * prescan budgets — SubnetExplorer::adaptive_prescan spends at most
-//     AdaptivePolicy::level_budget speculative probes per growth level, and
-//     only phase-B follow-ups for candidates phase A proved alive;
+//     kLevelBudget speculative probes per growth level, and only phase-B
+//     follow-ups for candidates phase A proved alive;
 //   * pacing — silence from addresses this session has already seen alive is
 //     treated as a drop signal (loss or ICMP rate limiting); the controller
 //     backs off exponentially between waves and re-opens when replies flow.
+//
+// Every wave of a session goes out through core::Prober::send, which reads
+// the window before each chunk, paces it and observes its replies. Only the
+// switch and the window bounds are settable (AdaptivePolicy); the thresholds
+// are the named constants below.
 //
 // Determinism contract (docs/PROBING.md): every input is schedule-invariant.
 // Reply outcomes are pure functions of probe content under the fault layer's
@@ -52,31 +57,33 @@ struct AdaptivePolicy {
   int initial_window = 8;
   int min_window = 1;
   int max_window = 64;
-
-  // Grow the window when a wave fills at least grow_occupancy of it AND at
-  // most grow_hit_rate of the wave resolved from cache — the session is
-  // genuinely RTT-bound, so more overlap buys wall time at no wire cost.
-  double grow_occupancy = 0.9;
-  double grow_hit_rate = 0.5;
-
-  // Shrink the window when at least shrink_hit_rate of a wave resolved from
-  // cache: speculation is outrunning what the serial walk consumes.
-  double shrink_hit_rate = 0.9;
-
-  // Back off (double the inter-wave pause from backoff_base_us, capped at
-  // backoff_max_us) when at least backoff_drop_rate of a wave's probes were
-  // silent *to addresses this session already saw alive* — the signature of
-  // loss or rate limiting, as opposed to the legitimate silence of unused
-  // addresses. Halve the pause again on every calmer wave.
-  double backoff_drop_rate = 0.25;
-  std::uint64_t backoff_base_us = 500;
-  std::uint64_t backoff_max_us = 16'000;
-
-  // Speculative-prescan budget per growth level in SubnetExplorer
-  // (0 = unlimited). When a level's budget is spent, the rest of the level
-  // falls back to the serial walk — slower, never different output.
-  std::uint32_t level_budget = 96;
 };
+
+// The feedback loop's thresholds (docs/PROBING.md "Adaptive policy").
+//
+// Grow the window when a wave fills at least kGrowOccupancy of it AND at
+// most kGrowHitRate of the wave resolved from cache — the session is
+// genuinely RTT-bound, so more overlap buys wall time at no wire cost.
+inline constexpr double kGrowOccupancy = 0.9;
+inline constexpr double kGrowHitRate = 0.5;
+
+// Shrink the window when at least kShrinkHitRate of a wave resolved from
+// cache: speculation is outrunning what the serial walk consumes.
+inline constexpr double kShrinkHitRate = 0.9;
+
+// Back off (double the inter-wave pause from kBackoffBaseUs, capped at
+// kBackoffMaxUs) when at least kBackoffDropRate of a wave's probes were
+// silent *to addresses this session already saw alive* — the signature of
+// loss or rate limiting, as opposed to the legitimate silence of unused
+// addresses. Halve the pause again on every calmer wave.
+inline constexpr double kBackoffDropRate = 0.25;
+inline constexpr std::uint64_t kBackoffBaseUs = 500;
+inline constexpr std::uint64_t kBackoffMaxUs = 16'000;
+
+// Speculative-prescan budget per growth level in SubnetExplorer. When a
+// level's budget is spent, the rest of the level falls back to the serial
+// walk — slower, never different output.
+inline constexpr std::uint32_t kLevelBudget = 96;
 
 class AdaptiveController {
  public:
@@ -167,11 +174,10 @@ class AdaptiveController {
     const double drop_rate =
         static_cast<double>(suspected_drops) / static_cast<double>(sent);
     std::uint64_t pause = pause_us_;
-    if (drop_rate >= policy_.backoff_drop_rate && policy_.backoff_base_us > 0) {
-      pause = pause == 0 ? policy_.backoff_base_us
-                         : std::min(pause * 2, policy_.backoff_max_us);
+    if (drop_rate >= kBackoffDropRate) {
+      pause = pause == 0 ? kBackoffBaseUs : std::min(pause * 2, kBackoffMaxUs);
     } else if (pause > 0) {
-      pause = pause <= policy_.backoff_base_us ? 0 : pause / 2;
+      pause = pause <= kBackoffBaseUs ? 0 : pause / 2;
     }
     if (pause != pause_us_) {
       pause_us_ = pause;
@@ -186,10 +192,9 @@ class AdaptiveController {
     const double occupancy =
         static_cast<double>(sent) / static_cast<double>(window_);
     int resized = window_;
-    if (hit_rate >= policy_.shrink_hit_rate) {
+    if (hit_rate >= kShrinkHitRate) {
       resized = std::max(policy_.min_window, window_ / 2);
-    } else if (occupancy >= policy_.grow_occupancy &&
-               hit_rate <= policy_.grow_hit_rate) {
+    } else if (occupancy >= kGrowOccupancy && hit_rate <= kGrowHitRate) {
       resized = std::min(policy_.max_window, window_ * 2);
     }
     if (resized != window_) {

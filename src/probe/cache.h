@@ -13,16 +13,13 @@
 // workers: most redundancy there is *across* sessions, since every trace
 // toward the same ISP re-walks the same first hops and re-tests the same
 // infrastructure subnets (the observation behind Doubletree's shared stop
-// set). So the table is thread-safe: sharded by key hash, one mutex per
-// shard, and the inner engine is probed outside every lock. A session-private
-// instance pays a few uncontended locks per probe for that, which is noise
-// against the session's own CPU. Each shard is a flat open-addressing
-// ReplyTable (probe/reply_table.h). Replies are assumed stable for the
-// lifetime of the cache — the trade Doubletree makes; clear() drops
-// everything.
+// set). So the table is thread-safe: one flat open-addressing ReplyTable
+// (probe/reply_table.h) under one mutex, and the inner engine is probed
+// outside the lock. A session-private instance takes that lock uncontended.
+// Replies are assumed stable for the lifetime of the cache — the trade
+// Doubletree makes; clear() drops everything.
 #pragma once
 
-#include <array>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -62,9 +59,9 @@ class CachingProbeEngine final : public ProbeEngine {
   // read between clears agree with the MetricsRegistry's per-phase counters.
   // Only meaningful while nothing is probing through this engine.
   void clear() {
-    for (Shard& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.replies.clear();
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      replies_.clear();
     }
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
@@ -79,13 +76,6 @@ class CachingProbeEngine final : public ProbeEngine {
   }
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    ReplyTable replies;
-  };
-
-  static constexpr std::size_t kShards = 16;
-
   // A key already missed in the current wave, and its place among the
   // wave's misses.
   struct WaveMiss {
@@ -102,14 +92,9 @@ class CachingProbeEngine final : public ProbeEngine {
     }
   };
 
-  Shard& shard_of(const ReplyKey& key) noexcept {
-    return shards_[key.hash() % kShards];
-  }
-
   std::optional<net::ProbeReply> lookup(const ReplyKey& key) {
-    Shard& shard = shard_of(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const ReplySlot* slot = shard.replies.find(key);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const ReplySlot* slot = replies_.find(key);
     if (slot == nullptr) return std::nullopt;
     return slot->reply();
   }
@@ -118,9 +103,8 @@ class CachingProbeEngine final : public ProbeEngine {
   // lands last — identical on stable networks.
   void publish(const ReplyKey& key, const net::ProbeReply& reply) {
     if (reply.is_none() && !cache_unresponsive()) return;
-    Shard& shard = shard_of(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.replies.insert_or_assign(ReplySlot::of(key, reply));
+    const std::lock_guard<std::mutex> lock(mutex_);
+    replies_.insert_or_assign(ReplySlot::of(key, reply));
   }
 
   net::ProbeReply do_probe(const net::Probe& request) override {
@@ -130,9 +114,8 @@ class CachingProbeEngine final : public ProbeEngine {
     if (cached) {
       hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      // Probe outside the shard lock: the wire blocks (pacing, simulator
-      // mutex) and holding a shard hostage meanwhile would serialize every
-      // worker hashing into it.
+      // Probe outside the lock: the wire blocks (pacing, simulator mutex)
+      // and holding the table meanwhile would serialize every worker.
       misses_.fetch_add(1, std::memory_order_relaxed);
       reply = inner_.probe(request);
       publish(key, *reply);
@@ -148,7 +131,7 @@ class CachingProbeEngine final : public ProbeEngine {
   }
 
   // Partitions the wave into hits and misses and forwards only the misses,
-  // as one inner wave probed outside every shard lock. A key repeated within
+  // as one inner wave probed outside the lock. A key repeated within
   // the wave is probed once; later occurrences count as hits, exactly as a
   // serial walk would score them.
   std::vector<net::ProbeReply> do_probe_batch(
@@ -192,7 +175,8 @@ class CachingProbeEngine final : public ProbeEngine {
   }
 
   ProbeEngine& inner_;
-  std::array<Shard, kShards> shards_;
+  std::mutex mutex_;
+  ReplyTable replies_;  // guarded by mutex_
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<bool> cache_unresponsive_{true};

@@ -18,6 +18,9 @@
 
 namespace tn::probe {
 
+// Growth of the retry backoff per further retry (RetryConfig).
+inline constexpr double kBackoffMultiplier = 2.0;
+
 struct RetryConfig {
   // Total tries per probe (first probe + retries); clamped to [1, 256].
   // The upper clamp matters: Probe::attempt is a uint8_t fault-draw key, so
@@ -26,12 +29,11 @@ struct RetryConfig {
   int attempts = 2;
 
   // Exponential backoff between tries: sleep backoff_base_us before retry 1,
-  // then multiply by backoff_multiplier per further retry, capped at
+  // then multiply by kBackoffMultiplier per further retry, capped at
   // backoff_max_us. 0 base (the default) disables sleeping entirely, which
   // keeps simulator runs instant; live engines set a real base to ride out
   // transient congestion and rate-limiting windows.
   std::uint64_t backoff_base_us = 0;
-  double backoff_multiplier = 2.0;
   std::uint64_t backoff_max_us = 1'000'000;
 
   // Lifetime cap on retries charged to one target address, across all its
@@ -89,7 +91,7 @@ class RetryingProbeEngine final : public ProbeEngine {
   void backoff(int retry_number) const {
     if (config_.backoff_base_us == 0) return;
     double us = static_cast<double>(config_.backoff_base_us);
-    for (int i = 1; i < retry_number; ++i) us *= config_.backoff_multiplier;
+    for (int i = 1; i < retry_number; ++i) us *= kBackoffMultiplier;
     const auto capped = static_cast<std::uint64_t>(
         us < static_cast<double>(config_.backoff_max_us)
             ? us

@@ -71,7 +71,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   // The shared probe stack (see the header diagram).
   probe::SimProbeEngine wire(network_, vantage_);
   ProbePacer pacer = config_.pps > 0.0
-                         ? ProbePacer(config_.pps, config_.burst, sched)
+                         ? ProbePacer(config_.pps, kPacerBurst, sched)
                          : ProbePacer();
   PacedProbeEngine paced(wire, pacer, &wire_counter, waves);
   std::optional<probe::CachingProbeEngine> shared_cache;

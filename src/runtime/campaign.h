@@ -45,9 +45,8 @@ struct RuntimeConfig {
   int jobs = 1;
 
   // Aggregate probe budget across all workers, probes/second (0 = no cap),
-  // with bursts of up to `burst` back-to-back probes.
+  // with bursts of up to kPacerBurst (runtime/pacer.h) back-to-back probes.
   double pps = 0.0;
-  double burst = 8.0;
 
   // Cross-session sharing knobs (both on by default; the bench ablates them).
   bool share_stop_set = true;     // Doubletree-style covered-prefix skipping

@@ -31,6 +31,10 @@
 
 namespace tn::runtime {
 
+// Back-to-back probes a pacer admits after an idle period, unless told
+// otherwise; the campaign runtime's pacer always uses it.
+inline constexpr double kPacerBurst = 8.0;
+
 class ProbePacer {
  public:
   // A default-constructed pacer admits everything immediately.
@@ -38,7 +42,7 @@ class ProbePacer {
 
   // Sustained `pps` probes per second, bursts up to `burst`, timed by
   // `clock` (nullptr = the shared wall clock).
-  explicit ProbePacer(double pps, double burst = 8.0,
+  explicit ProbePacer(double pps, double burst = kPacerBurst,
                       util::Clock* clock = nullptr) noexcept
       : clock_(clock != nullptr ? clock : &util::WallClock::instance()),
         rate_(pps > 0.0 ? pps : 0.0),

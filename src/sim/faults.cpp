@@ -12,15 +12,6 @@ namespace tn::sim {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t seed) noexcept {
-  seed ^= seed >> 33;
-  seed *= 0xFF51AFD7ED558CCDULL;
-  seed ^= seed >> 33;
-  seed *= 0xC4CEB9FE1A85EC53ULL;
-  seed ^= seed >> 33;
-  return seed;
-}
-
 [[noreturn]] void fail(std::string_view source, int line,
                        const std::string& what) {
   throw std::invalid_argument(std::string(source) + ":" +
@@ -104,8 +95,8 @@ bool FaultSpec::churned(NodeId node) const noexcept {
   if (churn_fraction >= 1.0) return true;
   // Seed-keyed membership draw: the churned set is a pure function of
   // (seed, node), never of probe traffic or schedule.
-  const std::uint64_t roll =
-      mix(mix(seed ^ 0xC0B7ED9E11ULL) ^ static_cast<std::uint64_t>(node));
+  const std::uint64_t roll = util::mix64(util::mix64(seed ^ 0xC0B7ED9E11ULL) ^
+                                         static_cast<std::uint64_t>(node));
   return static_cast<double>(roll >> 11) * 0x1.0p-53 < churn_fraction;
 }
 
@@ -119,7 +110,7 @@ util::Rng fault_draw_stream(std::uint64_t seed,
       (static_cast<std::uint64_t>(probe.attempt) << 10) |
       (static_cast<std::uint64_t>(probe.ttl) << 2) |
       static_cast<std::uint64_t>(probe.protocol);
-  return util::Rng(mix(mix(seed ^ 0x7A0B5CEDFA17ULL) ^ key));
+  return util::Rng(util::mix64(util::mix64(seed ^ 0x7A0B5CEDFA17ULL) ^ key));
 }
 
 FaultSpec parse_fault_spec(std::istream& in, const Topology& topology,

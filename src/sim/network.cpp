@@ -9,17 +9,6 @@
 
 namespace tn::sim {
 
-namespace {
-std::uint64_t mix(std::uint64_t seed) noexcept {
-  seed ^= seed >> 33;
-  seed *= 0xFF51AFD7ED558CCDULL;
-  seed ^= seed >> 33;
-  seed *= 0xC4CEB9FE1A85EC53ULL;
-  seed ^= seed >> 33;
-  return seed;
-}
-}  // namespace
-
 net::ProbeReply Network::count(net::ProbeReply reply) {
   switch (reply.type) {
     case net::ResponseType::kNone:
@@ -134,7 +123,7 @@ net::ProbeReply Network::respond_direct(NodeId node_id, const net::Probe& probe,
     // Deterministic per-probe drop keyed off the injection sequence number:
     // same run -> same outcome; different probe schedule -> different drop
     // pattern.
-    const std::uint64_t roll = mix(
+    const std::uint64_t roll = util::mix64(
         (static_cast<std::uint64_t>(target_iface) << 32) ^ slot.sequence);
     if (static_cast<double>(roll >> 11) * 0x1.0p-53 < target.flakiness)
       return count(net::ProbeReply::none());
@@ -223,18 +212,18 @@ std::uint32_t Network::pick_next_hop(NodeId node_id, const net::Probe& probe,
       config_.ecmp_hash == EcmpHashMode::kPerDestSubnet
           ? static_cast<std::uint64_t>(target_subnet)
           : static_cast<std::uint64_t>(probe.target.value());
-  std::uint64_t h =
-      mix((static_cast<std::uint64_t>(node_id) << 40) ^ (selector << 8) ^
-          (static_cast<std::uint64_t>(probe.flow_id) << 2) ^
-          static_cast<std::uint64_t>(probe.protocol));
+  std::uint64_t h = util::mix64(
+      (static_cast<std::uint64_t>(node_id) << 40) ^ (selector << 8) ^
+      (static_cast<std::uint64_t>(probe.flow_id) << 2) ^
+      static_cast<std::uint64_t>(probe.protocol));
   // Routing churn (sim/faults.h): probes of a later epoch see re-randomized
   // link-cost tie-breaks at churned routers — the salt re-mixes the pick
   // over the same equal-cost set, so shortest paths (and loop freedom) are
   // preserved while the chosen member may change. Keyed purely off probe
   // content (epoch) and the spec seed: schedule-invariant.
   if (faults_enabled_ && probe.epoch > 0 && faults_.churned(node_id)) {
-    h = mix(h ^ (faults_.seed + 0x9E3779B97F4A7C15ULL) ^
-            (static_cast<std::uint64_t>(probe.epoch) << 57));
+    h = util::mix64(h ^ (faults_.seed + 0x9E3779B97F4A7C15ULL) ^
+                    (static_cast<std::uint64_t>(probe.epoch) << 57));
     fault_churned_picks_.fetch_add(1, std::memory_order_relaxed);
   }
   return static_cast<std::uint32_t>(h % count);
@@ -250,11 +239,11 @@ std::uint64_t Network::probe_delay_us(const net::Probe& probe,
     // Content-keyed, like the fault draws: the same probe always jitters by
     // the same amount, whatever else is in flight, so delays replay
     // identically across schedules and across wall vs virtual modes.
-    const std::uint64_t roll =
-        mix((static_cast<std::uint64_t>(probe.target.value()) << 20) ^
-            (static_cast<std::uint64_t>(probe.flow_id) << 12) ^
-            (static_cast<std::uint64_t>(probe.attempt) << 8) ^
-            static_cast<std::uint64_t>(probe.ttl) ^ 0x9E3779B97F4A7C15ULL);
+    const std::uint64_t roll = util::mix64(
+        (static_cast<std::uint64_t>(probe.target.value()) << 20) ^
+        (static_cast<std::uint64_t>(probe.flow_id) << 12) ^
+        (static_cast<std::uint64_t>(probe.attempt) << 8) ^
+        static_cast<std::uint64_t>(probe.ttl) ^ 0x9E3779B97F4A7C15ULL);
     delay += roll % (config_.jitter_us + 1);
   }
   return delay;
@@ -286,13 +275,13 @@ std::vector<net::ProbeReply> Network::send_probe_batch(
     // window-1 either way; the permutation is seeded from the spec seed and
     // the wave's content, so a fixed wave always replays the same order.
     // replies[i] still answers probes[i].
-    std::uint64_t wave_key = mix(faults_.seed ^ 0x5EC0DE0FDA7AULL);
+    std::uint64_t wave_key = util::mix64(faults_.seed ^ 0x5EC0DE0FDA7AULL);
     for (const net::Probe& probe : probes)
-      wave_key = mix(wave_key ^
-                     (static_cast<std::uint64_t>(probe.target.value()) << 24) ^
-                     (static_cast<std::uint64_t>(probe.flow_id) << 10) ^
-                     (static_cast<std::uint64_t>(probe.attempt) << 8) ^
-                     static_cast<std::uint64_t>(probe.ttl));
+      wave_key = util::mix64(
+          wave_key ^ (static_cast<std::uint64_t>(probe.target.value()) << 24) ^
+          (static_cast<std::uint64_t>(probe.flow_id) << 10) ^
+          (static_cast<std::uint64_t>(probe.attempt) << 8) ^
+          static_cast<std::uint64_t>(probe.ttl));
     util::Rng rng(wave_key);
     std::vector<std::size_t> keys(probes.size());
     std::vector<std::size_t> order(probes.size());
@@ -385,7 +374,7 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
   std::optional<RoutingTable::Route> route;
   std::uint16_t member = 0;
 
-  for (int step = 0; step < config_.max_hops; ++step) {
+  for (int step = 0; step < kMaxHops; ++step) {
     if (step_hook_) step_hook_(current, probe);
 
     // Node-override forward faults are charged where the packet actually

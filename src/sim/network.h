@@ -47,11 +47,13 @@ enum class EcmpHashMode : std::uint8_t {
   kPerDestAddr,
 };
 
+// Forwarding loop guard: a walk gives up after this many steps.
+inline constexpr int kMaxHops = 64;
+
 struct NetworkConfig {
   EcmpHashMode ecmp_hash = EcmpHashMode::kPerDestSubnet;
   // Virtual time advanced per injected probe; drives rate limiters.
   std::uint64_t inter_probe_gap_us = 1000;
-  int max_hops = 64;  // forwarding loop guard
   // Emulated round-trip time: every send_probe call blocks the caller for
   // this long before returning its reply, exactly like a live blocking
   // probe engine. 0 (the default) keeps the simulator instant. Replies are
@@ -203,21 +205,6 @@ class Network {
     out.fault_churned_picks =
         fault_churned_picks_.load(std::memory_order_relaxed);
     return out;
-  }
-  void reset_stats() noexcept {
-    probes_injected_.store(0, std::memory_order_relaxed);
-    echo_replies_.store(0, std::memory_order_relaxed);
-    ttl_exceeded_.store(0, std::memory_order_relaxed);
-    unreachable_.store(0, std::memory_order_relaxed);
-    tcp_resets_.store(0, std::memory_order_relaxed);
-    silent_.store(0, std::memory_order_relaxed);
-    rate_limited_.store(0, std::memory_order_relaxed);
-    fault_probe_lost_.store(0, std::memory_order_relaxed);
-    fault_reply_lost_.store(0, std::memory_order_relaxed);
-    fault_anonymous_.store(0, std::memory_order_relaxed);
-    fault_blackholed_.store(0, std::memory_order_relaxed);
-    fault_hidden_hops_.store(0, std::memory_order_relaxed);
-    fault_churned_picks_.store(0, std::memory_order_relaxed);
   }
   std::uint64_t now_us() const noexcept {
     return now_us_.load(std::memory_order_relaxed);

@@ -60,8 +60,8 @@ class FlatTable {
 
   // The index of the slot holding `key`, else of the empty slot ending its
   // probe sequence. Fibonacci hashing: the top bits of the scrambled hash,
-  // which spreads sequential keys and leaves the hash's low bits free for a
-  // caller's own use (CachingProbeEngine picks shards by them).
+  // which spreads sequential keys even when the hash itself is the identity
+  // (std::hash of an integer in libstdc++, as ReplyKey::hash uses).
   std::size_t locate(const Key& key) const noexcept {
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = static_cast<std::size_t>(

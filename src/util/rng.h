@@ -16,6 +16,19 @@ namespace tn::util {
 // splitmix64: used to expand a single 64-bit seed into a full xoshiro state.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+// A stateless 64-bit finalizer (MurmurHash3's fmix64). The simulator keys
+// its deterministic draws on it — ECMP picks, flakiness, churn membership,
+// fault streams, jitter, wave reordering — so every pinned walk and chaos
+// result depends on these exact bits.
+inline std::uint64_t mix64(std::uint64_t value) noexcept {
+  value ^= value >> 33;
+  value *= 0xFF51AFD7ED558CCDULL;
+  value ^= value >> 33;
+  value *= 0xC4CEB9FE1A85EC53ULL;
+  value ^= value >> 33;
+  return value;
+}
+
 // xoshiro256** by Blackman & Vigna (public domain reference algorithm),
 // re-implemented here. Fast, tiny state, excellent statistical quality.
 class Rng {

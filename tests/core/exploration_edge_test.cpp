@@ -41,17 +41,19 @@ struct Chain {
 
   sim::Topology freeze() const { return sim::TopologyBuilder(topo).build(); }
 
-  ObservedSubnet explore(net::Ipv4Addr v, int d, ExplorerConfig config = {}) {
+  ObservedSubnet explore(
+      net::Ipv4Addr v, int d,
+      net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp) {
     const sim::Topology frozen = freeze();
     sim::Network net(frozen);
     probe::SimProbeEngine wire(net, vantage);
     probe::CachingProbeEngine cached(wire);
     SubnetPositioner positioner(cached);
-    PositioningConfig pos_config;
-    pos_config.protocol = config.protocol;
-    SubnetPositioner proto_positioner(cached, pos_config);
+    Prober prober(cached);
+    prober.protocol = protocol;
+    SubnetPositioner proto_positioner(prober);
     const Position pos = proto_positioner.position(ip("10.0.2.2"), v, d);
-    SubnetExplorer explorer(cached, config);
+    SubnetExplorer explorer(prober);
     return explorer.explore(pos);
   }
 };
@@ -141,9 +143,8 @@ TEST(ExplorationEdge, UdpExplorationUsesPortUnreachableAliveness) {
     const auto host = c.topo.add_host(addr);
     c.topo.attach(host, lan, ip(addr));
   }
-  ExplorerConfig config;
-  config.protocol = net::ProbeProtocol::kUdp;
-  const auto subnet = c.explore(ip("192.168.0.2"), 4, config);
+  const auto subnet =
+      c.explore(ip("192.168.0.2"), 4, net::ProbeProtocol::kUdp);
   EXPECT_EQ(subnet.prefix, pfx("192.168.0.0/29"));
   EXPECT_EQ(subnet.members.size(), 4u);
 }
@@ -163,9 +164,8 @@ TEST(ExplorationEdge, UdpNilMembersShrinkTheUdpView) {
     if (std::string_view(addr) != "192.168.0.2")
       c.topo.set_response_config(host, net::ProbeProtocol::kUdp, udp_nil);
   }
-  ExplorerConfig udp;
-  udp.protocol = net::ProbeProtocol::kUdp;
-  const auto udp_subnet = c.explore(ip("192.168.0.2"), 4, udp);
+  const auto udp_subnet =
+      c.explore(ip("192.168.0.2"), 4, net::ProbeProtocol::kUdp);
   const auto icmp_subnet = c.explore(ip("192.168.0.2"), 4);
   EXPECT_LT(udp_subnet.members.size(), icmp_subnet.members.size());
 }

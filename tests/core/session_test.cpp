@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "core/multipath.h"
 #include "probe/sim_engine.h"
 #include "testutil.h"
+#include "topo/reference.h"
 #include "util/log.h"
 
 namespace tn::core {
@@ -18,6 +21,44 @@ class SessionTest : public ::testing::Test {
  protected:
   test::Fig3Topology f;
 };
+
+// Keeps every probe that reaches the wire and the size of the largest wave.
+class RecordingEngine final : public probe::ProbeEngine {
+ public:
+  explicit RecordingEngine(probe::ProbeEngine& inner) noexcept
+      : inner_(inner) {}
+
+  std::vector<net::Probe> probes;
+  std::size_t largest_wave = 0;
+
+ private:
+  net::ProbeReply do_probe(const net::Probe& request) override {
+    probes.push_back(request);
+    largest_wave = std::max<std::size_t>(largest_wave, 1);
+    return inner_.probe(request);
+  }
+
+  std::vector<net::ProbeReply> do_probe_batch(
+      std::span<const net::Probe> requests) override {
+    probes.insert(probes.end(), requests.begin(), requests.end());
+    largest_wave = std::max(largest_wave, requests.size());
+    return inner_.probe_batch(requests);
+  }
+
+  probe::ProbeEngine& inner_;
+};
+
+// Recorded probes whose protocol or epoch differ from the given ones, or,
+// when `flow_id` is set, whose flow differs.
+std::size_t strays(const RecordingEngine& wire, net::ProbeProtocol protocol,
+                   std::uint8_t epoch,
+                   std::optional<std::uint16_t> flow_id = std::nullopt) {
+  return static_cast<std::size_t>(std::count_if(
+      wire.probes.begin(), wire.probes.end(), [&](const net::Probe& probe) {
+        return probe.protocol != protocol || probe.epoch != epoch ||
+               (flow_id && probe.flow_id != *flow_id);
+      }));
+}
 
 TEST_F(SessionTest, CollectsSubnetAtEveryHop) {
   sim::Network net(f.topo);
@@ -200,6 +241,69 @@ TEST_F(SessionTest, ObservedSubnetStreamsExactlyToString) {
     contra_marked |= subnet.to_string().find('*') != std::string::npos;
   }
   EXPECT_TRUE(contra_marked);
+}
+
+TEST_F(SessionTest, EveryProbeCarriesTheSessionIdentity) {
+  // The golden pins all probe ICMP, flow 0 and epoch 0: the defaults, so a
+  // send path that dropped a field would still send the expected value. Here
+  // every field differs from its default, on the serial path, on the
+  // fixed-window TTL waves and prescans, and on the adaptive ones.
+  const topo::ReferenceTopology ref = topo::internet2_like(42);
+  const std::vector<net::Ipv4Addr> targets(ref.targets.begin(),
+                                           ref.targets.begin() + 6);
+  constexpr auto kUdp = net::ProbeProtocol::kUdp;
+  struct Policy {
+    const char* name;
+    int window;
+    bool adaptive;
+  };
+  for (const Policy policy : {Policy{"window 1", 1, false},
+                              Policy{"window 16", 16, false},
+                              Policy{"adaptive", 1, true}}) {
+    SCOPED_TRACE(policy.name);
+    sim::Network net(ref.topo);
+    probe::SimProbeEngine sim_wire(net, ref.vantage);
+    RecordingEngine wire(sim_wire);
+    util::ManualClock clock;  // adaptive pacing must not sleep wall time
+    SessionConfig config;
+    config.protocol = kUdp;
+    config.flow_id = 7;
+    config.probe_window = policy.window;
+    config.adaptive.enabled = policy.adaptive;
+    config.clock = &clock;
+    TracenetSession session(wire, config);
+    session.set_epoch(1);
+    for (const net::Ipv4Addr target : targets) session.run(target);
+    ASSERT_FALSE(wire.probes.empty());
+    EXPECT_EQ(strays(wire, kUdp, 1, 7), 0u);
+    if (policy.window > 1 || policy.adaptive) {
+      EXPECT_GT(wire.largest_wave, 1u);
+    }
+
+    wire.probes.clear();
+    session.set_epoch(0);
+    session.run(targets.back());
+    ASSERT_FALSE(wire.probes.empty());
+    EXPECT_EQ(strays(wire, kUdp, 0, 7), 0u);
+  }
+
+  // The multipath session varies the flow by design; protocol and epoch
+  // still hold for discovery, positioning and exploration alike.
+  sim::Network net(ref.topo);
+  probe::SimProbeEngine sim_wire(net, ref.vantage);
+  RecordingEngine wire(sim_wire);
+  MultipathConfig config;
+  config.protocol = kUdp;
+  MultipathTracenetSession session(wire, config);
+  session.set_epoch(1);
+  for (const net::Ipv4Addr target : targets) session.run(target);
+  ASSERT_FALSE(wire.probes.empty());
+  EXPECT_EQ(strays(wire, kUdp, 1), 0u);
+  wire.probes.clear();
+  session.set_epoch(0);
+  session.run(targets.back());
+  ASSERT_FALSE(wire.probes.empty());
+  EXPECT_EQ(strays(wire, kUdp, 0), 0u);
 }
 
 TEST_F(SessionTest, EnabledLogLinesPrintAddressesAsToString) {

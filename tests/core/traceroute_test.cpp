@@ -94,9 +94,9 @@ TEST_F(TracerouteTest, DestinationReachedViaOtherInterface) {
 TEST_F(TracerouteTest, UdpTraceUsesPortUnreachableTermination) {
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
-  TracerouteConfig config;
-  config.protocol = ProbeProtocol::kUdp;
-  Traceroute tracer(engine, config);
+  Prober prober(engine);
+  prober.protocol = ProbeProtocol::kUdp;
+  Traceroute tracer(prober);
   const TracePath path = tracer.run(f.pivot4);
   EXPECT_TRUE(path.destination_reached);
   EXPECT_EQ(path.hops.back().reply.type, ResponseType::kPortUnreachable);

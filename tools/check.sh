@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # Tier-1 gate: the full test suite once normally, then the concurrent
 # runtime, reply-cache, routing and journal-writer tests again under
-# ThreadSanitizer (-DTN_SANITIZE=thread), with the same filter as the CI tsan
-# job.
+# ThreadSanitizer (-DTN_SANITIZE=thread): the targets and filter of
+# tools/tsan_tests.sh, which the CI tsan job reads too.
 # Run from anywhere; builds into build/ and build-tsan/ at the repo root.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
+. "$repo/tools/tsan_tests.sh"
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B "$repo/build" -S "$repo"
@@ -16,8 +17,9 @@ ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 echo "== tsan: runtime, reply-cache, routing and journal-writer tests under ThreadSanitizer =="
 cmake -B "$repo/build-tsan" -S "$repo" -DTN_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j "$jobs" --target runtime_test sim_test probe_test trace_test
+# $TSAN_TARGETS is a list of words, so it stays unquoted.
+cmake --build "$repo/build-tsan" -j "$jobs" --target $TSAN_TARGETS
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R 'Metrics|Pacer|SharedStopSet|SharedSubnetCache|CacheHammer|CampaignRuntime|BatchProbing|RetryEngine|VtimeScheduler|Routing|TraceDeterminism|TraceWriter'
+  -R "$TSAN_FILTER"
 
 echo "== all checks passed =="
