@@ -73,8 +73,7 @@ inline InternetRun run_internet(
                                        kInternetSeed),
                   {}};
   sim::Network net(run.internet.topo);
-  for (const auto& [node, pps] : run.internet.rate_limit_plan)
-    net.set_rate_limiter(node, sim::RateLimiter(pps, 5.0));
+  topo::install_rate_limit_plan(net, run.internet.rate_limit_plan);
 
   const auto targets = run.internet.all_targets();
   for (int v = 0; v < vantage_count; ++v) {

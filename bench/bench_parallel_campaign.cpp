@@ -44,8 +44,7 @@ Run run_once(const topo::SimulatedInternet& internet,
   sim::NetworkConfig net_config;
   net_config.wall_rtt_us = kEmulatedRttUs;
   sim::Network net(internet.topo, net_config);
-  for (const auto& [router, pps] : internet.rate_limit_plan)
-    net.set_rate_limiter(router, sim::RateLimiter(pps, 5.0));
+  topo::install_rate_limit_plan(net, internet.rate_limit_plan);
 
   runtime::RuntimeConfig config;
   config.jobs = jobs;

@@ -24,8 +24,7 @@ int main() {
               internet.topo.interface_count(), internet.all_targets().size());
 
   sim::Network net(internet.topo);
-  for (const auto& [node, pps] : internet.rate_limit_plan)
-    net.set_rate_limiter(node, sim::RateLimiter(pps, 5.0));
+  topo::install_rate_limit_plan(net, internet.rate_limit_plan);
 
   std::vector<eval::VantageObservations> observations;
   const auto targets = internet.all_targets();

@@ -1,13 +1,62 @@
 #include "sim/network.h"
 
-#include <chrono>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 #include "sim/vtime/scheduler.h"
 
 namespace tn::sim {
+
+namespace {
+
+// The reply a delivered probe draws from the owner of its target address.
+net::ResponseType direct_reply_type(net::ProbeProtocol protocol) {
+  if (protocol == net::ProbeProtocol::kUdp)
+    return net::ResponseType::kPortUnreachable;
+  if (protocol == net::ProbeProtocol::kTcp) return net::ResponseType::kTcpReset;
+  return net::ResponseType::kEchoReply;
+}
+
+// Bounded reply reordering: overlapped round trips complete out of order,
+// so the clock-visible processing order (slot claims, token-bucket
+// admissions) is permuted within the wave. Each probe sorts by its batch
+// position plus a jitter below `window`, bounding displacement to window-1
+// either way; the permutation is seeded from the spec seed and the wave's
+// content, so a fixed wave always replays the same order.
+std::vector<std::size_t> reorder_wave(std::uint64_t seed,
+                                      std::span<const net::Probe> probes,
+                                      int window) {
+  std::uint64_t wave_key = util::mix64(seed ^ 0x5EC0DE0FDA7AULL);
+  for (const net::Probe& probe : probes)
+    wave_key = util::mix64(
+        wave_key ^ (static_cast<std::uint64_t>(probe.target.value()) << 24) ^
+        (static_cast<std::uint64_t>(probe.flow_id) << 10) ^
+        (static_cast<std::uint64_t>(probe.attempt) << 8) ^
+        static_cast<std::uint64_t>(probe.ttl));
+  util::Rng rng(wave_key);
+  std::vector<std::size_t> keys(probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    keys[i] = i + static_cast<std::size_t>(
+                      rng.below(static_cast<std::uint64_t>(window)));
+  std::vector<std::size_t> order(probes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](std::size_t a, std::size_t b) {
+                     return keys[a] < keys[b];
+                   });
+  return order;
+}
+
+}  // namespace
+
+Network::Network(const Topology& topology, NetworkConfig config)
+    : topology_(topology),
+      routing_(topology),
+      config_(config),
+      clock_(config.scheduler != nullptr
+                 ? static_cast<util::Clock&>(*config.scheduler)
+                 : util::WallClock::instance()),
+      nodes_(topology.node_count()) {}
 
 net::ProbeReply Network::count(net::ProbeReply reply) {
   switch (reply.type) {
@@ -32,8 +81,12 @@ net::ProbeReply Network::count(net::ProbeReply reply) {
 }
 
 void Network::set_rate_limiter(NodeId node, RateLimiter limiter) {
-  const std::lock_guard<std::mutex> lock(limiter_mutex_);
-  limiters_[node] = limiter;
+  std::uint32_t& slot = nodes_.at(node).limiter;
+  if (slot == 0) {
+    limiters_.emplace_back();
+    slot = static_cast<std::uint32_t>(limiters_.size());
+  }
+  limiters_[slot - 1] = limiter;
 }
 
 void Network::set_faults(FaultSpec spec) {
@@ -53,28 +106,35 @@ void Network::set_faults(FaultSpec spec) {
       set_rate_limiter(node, RateLimiter(policy.icmp_rate, policy.icmp_burst));
 }
 
-net::ProbeReply Network::finish_reply(NodeId node, net::ProbeReply reply,
-                                      const ProbeSlot& slot) {
+net::ProbeReply Network::respond(NodeId node, ResponsePolicy policy,
+                                 net::ResponseType type,
+                                 InterfaceId probed_iface,
+                                 InterfaceId incoming_iface,
+                                 SubnetId origin_subnet,
+                                 InterfaceId default_iface,
+                                 const ProbeSlot& slot) {
+  if (policy == ResponsePolicy::kNil) return count(net::ProbeReply::none());
+  if (const std::uint32_t limiter = nodes_[node].limiter; limiter != 0) {
+    const std::lock_guard<std::mutex> lock(limiter_mutex_);
+    if (!limiters_[limiter - 1].allow(slot.now_us)) {
+      rate_limited_.fetch_add(1, std::memory_order_relaxed);
+      return count(net::ProbeReply::none());
+    }
+  }
+  const net::Ipv4Addr source = reply_source(
+      node, policy, probed_iface, incoming_iface, origin_subnet, default_iface);
+  if (source.is_unset()) return count(net::ProbeReply::none());
   // Responder-side reply loss. The draw is only consumed when the policy
   // actually has reply loss, so fault-free nodes leave the keystream
   // untouched and every other draw stays schedule-invariant.
-  if (slot.fault_rng != nullptr && !reply.is_none()) {
+  if (slot.fault_rng != nullptr) {
     const double p = faults_.reply_policy(node).reply_loss;
     if (p > 0.0 && slot.fault_rng->chance(p)) {
       fault_reply_lost_.fetch_add(1, std::memory_order_relaxed);
       return count(net::ProbeReply::none());
     }
   }
-  return count(reply);
-}
-
-bool Network::admit_response(NodeId node, const ProbeSlot& slot) {
-  const std::lock_guard<std::mutex> lock(limiter_mutex_);
-  const auto it = limiters_.find(node);
-  if (it == limiters_.end()) return true;
-  if (it->second.allow(slot.now_us)) return true;
-  rate_limited_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return count(net::ProbeReply{type, source});
 }
 
 net::Ipv4Addr Network::reply_source(NodeId node_id, ResponsePolicy policy,
@@ -112,84 +172,17 @@ net::Ipv4Addr Network::reply_source(NodeId node_id, ResponsePolicy policy,
   return {};
 }
 
-net::ProbeReply Network::respond_direct(NodeId node_id, const net::Probe& probe,
-                                        InterfaceId target_iface,
-                                        InterfaceId incoming_iface,
-                                        SubnetId origin_subnet,
-                                        const ProbeSlot& slot) {
-  const Interface& target = topology_.interface(target_iface);
-  if (!target.responsive) return count(net::ProbeReply::none());
-  if (target.flakiness > 0.0) {
-    // Deterministic per-probe drop keyed off the injection sequence number:
-    // same run -> same outcome; different probe schedule -> different drop
-    // pattern.
-    const std::uint64_t roll = util::mix64(
-        (static_cast<std::uint64_t>(target_iface) << 32) ^ slot.sequence);
-    if (static_cast<double>(roll >> 11) * 0x1.0p-53 < target.flakiness)
-      return count(net::ProbeReply::none());
+bool Network::forward_fault(const FaultPolicy& policy, const net::Probe& probe,
+                            util::Rng& fault_rng) {
+  if (policy.blackholes(probe.ttl)) {
+    fault_blackholed_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
-  const ResponseConfig& config =
-      topology_.node(node_id).config_for(probe.protocol);
-  if (config.direct == ResponsePolicy::kNil) return count(net::ProbeReply::none());
-  if (!admit_response(node_id, slot)) return count(net::ProbeReply::none());
-
-  const net::Ipv4Addr source =
-      reply_source(node_id, config.direct, target_iface, incoming_iface,
-                   origin_subnet, config.default_interface);
-  if (source.is_unset()) return count(net::ProbeReply::none());
-
-  net::ResponseType type = net::ResponseType::kEchoReply;
-  switch (probe.protocol) {
-    case net::ProbeProtocol::kIcmp: type = net::ResponseType::kEchoReply; break;
-    case net::ProbeProtocol::kUdp: type = net::ResponseType::kPortUnreachable; break;
-    case net::ProbeProtocol::kTcp: type = net::ResponseType::kTcpReset; break;
+  if (policy.probe_loss > 0.0 && fault_rng.chance(policy.probe_loss)) {
+    fault_probe_lost_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
-  return finish_reply(node_id, net::ProbeReply{type, source}, slot);
-}
-
-net::ProbeReply Network::respond_indirect(NodeId node_id, const net::Probe& probe,
-                                          InterfaceId incoming_iface,
-                                          SubnetId origin_subnet,
-                                          const ProbeSlot& slot) {
-  // Anonymous routers forward but never send Time Exceeded — the hop shows
-  // up as '*' in every trace regardless of retries.
-  if (faults_enabled_ && faults_.reply_policy(node_id).anonymous) {
-    fault_anonymous_.fetch_add(1, std::memory_order_relaxed);
-    return count(net::ProbeReply::none());
-  }
-  const ResponseConfig& config =
-      topology_.node(node_id).config_for(probe.protocol);
-  if (config.indirect == ResponsePolicy::kNil)
-    return count(net::ProbeReply::none());
-  if (!admit_response(node_id, slot)) return count(net::ProbeReply::none());
-
-  const net::Ipv4Addr source =
-      reply_source(node_id, config.indirect, kInvalidId, incoming_iface,
-                   origin_subnet, config.default_interface);
-  if (source.is_unset()) return count(net::ProbeReply::none());
-  return finish_reply(node_id,
-                      net::ProbeReply{net::ResponseType::kTtlExceeded, source},
-                      slot);
-}
-
-net::ProbeReply Network::arp_fail(NodeId node_id, const net::Probe& probe,
-                                  InterfaceId incoming_iface,
-                                  SubnetId origin_subnet, const Subnet& lan,
-                                  const ProbeSlot& slot) {
-  if (lan.arp_fail == ArpFailBehavior::kSilent)
-    return count(net::ProbeReply::none());
-  const ResponseConfig& config =
-      topology_.node(node_id).config_for(probe.protocol);
-  if (config.indirect == ResponsePolicy::kNil)
-    return count(net::ProbeReply::none());
-  if (!admit_response(node_id, slot)) return count(net::ProbeReply::none());
-  const net::Ipv4Addr source =
-      reply_source(node_id, config.indirect, kInvalidId, incoming_iface,
-                   origin_subnet, config.default_interface);
-  if (source.is_unset()) return count(net::ProbeReply::none());
-  return finish_reply(
-      node_id, net::ProbeReply{net::ResponseType::kHostUnreachable, source},
-      slot);
+  return false;
 }
 
 std::uint32_t Network::pick_next_hop(NodeId node_id, const net::Probe& probe,
@@ -197,14 +190,9 @@ std::uint32_t Network::pick_next_hop(NodeId node_id, const net::Probe& probe,
                                      std::uint32_t count) {
   if (count == 1) return 0;
 
-  if (topology_.per_packet_load_balancing(node_id)) {
-    std::uint32_t turn;
-    {
-      const std::lock_guard<std::mutex> lock(round_robin_mutex_);
-      turn = round_robin_[node_id]++;
-    }
-    return turn % count;
-  }
+  if (topology_.per_packet_load_balancing(node_id))
+    return nodes_[node_id].turn.fetch_add(1, std::memory_order_relaxed) %
+           count;
   // Per-flow: a stable hash of (this router, flow selector, flow id,
   // protocol). With kPerDestSubnet the selector is the destination prefix, so
   // all addresses of one subnet share an ingress (§3.2(ii)).
@@ -249,80 +237,40 @@ std::uint64_t Network::probe_delay_us(const net::Probe& probe,
   return delay;
 }
 
-void Network::emulate_rtt(std::uint64_t delay_us) {
-  if (delay_us == 0) return;
-  if (config_.scheduler != nullptr)
-    config_.scheduler->sleep_us(delay_us);
-  else
-    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-}
-
 net::ProbeReply Network::send_probe(NodeId origin, const net::Probe& probe) {
-  int hops = 0;
-  const net::ProbeReply reply = walk_probe(origin, probe, &hops);
-  emulate_rtt(probe_delay_us(probe, hops));
+  net::ProbeReply reply;
+  send_wave(origin, {&probe, 1}, {&reply, 1});
   return reply;
 }
 
 std::vector<net::ProbeReply> Network::send_probe_batch(
     NodeId origin, std::span<const net::Probe> probes) {
-  const int window = faults_enabled_ ? faults_.reorder_window : 0;
-  if (window > 1 && probes.size() > 1) {
-    // Bounded reply reordering: overlapped round trips complete out of order,
-    // so the clock-visible processing order (slot claims, token-bucket
-    // admissions) is permuted within the wave. Each probe sorts by its batch
-    // position plus a jitter below `window`, bounding displacement to
-    // window-1 either way; the permutation is seeded from the spec seed and
-    // the wave's content, so a fixed wave always replays the same order.
-    // replies[i] still answers probes[i].
-    std::uint64_t wave_key = util::mix64(faults_.seed ^ 0x5EC0DE0FDA7AULL);
-    for (const net::Probe& probe : probes)
-      wave_key = util::mix64(
-          wave_key ^ (static_cast<std::uint64_t>(probe.target.value()) << 24) ^
-          (static_cast<std::uint64_t>(probe.flow_id) << 10) ^
-          (static_cast<std::uint64_t>(probe.attempt) << 8) ^
-          static_cast<std::uint64_t>(probe.ttl));
-    util::Rng rng(wave_key);
-    std::vector<std::size_t> keys(probes.size());
-    std::vector<std::size_t> order(probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      keys[i] = i + static_cast<std::size_t>(
-                        rng.below(static_cast<std::uint64_t>(window)));
-      order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](std::size_t a, std::size_t b) {
-                       return keys[a] < keys[b];
-                     });
-    // The wave completes when its slowest reply lands: overlapped in-flight
-    // probes pay the *maximum* of their round trips, not the sum.
-    std::uint64_t wave_delay = 0;
-    std::vector<net::ProbeReply> replies(probes.size());
-    for (const std::size_t i : order) {
-      int hops = 0;
-      replies[i] = walk_probe(origin, probes[i], &hops);
-      wave_delay = std::max(wave_delay, probe_delay_us(probes[i], hops));
-    }
-    emulate_rtt(wave_delay);
-    return replies;
-  }
-
-  std::uint64_t wave_delay = 0;
-  std::vector<net::ProbeReply> replies;
-  replies.reserve(probes.size());
-  for (const net::Probe& probe : probes) {
-    int hops = 0;
-    replies.push_back(walk_probe(origin, probe, &hops));
-    wave_delay = std::max(wave_delay, probe_delay_us(probe, hops));
-  }
-  emulate_rtt(wave_delay);
+  std::vector<net::ProbeReply> replies(probes.size());
+  send_wave(origin, probes, replies);
   return replies;
 }
 
+void Network::send_wave(NodeId origin, std::span<const net::Probe> probes,
+                        std::span<net::ProbeReply> replies) {
+  const int window = faults_enabled_ ? faults_.reorder_window : 0;
+  const std::vector<std::size_t> order =
+      window > 1 && probes.size() > 1
+          ? reorder_wave(faults_.seed, probes, window)
+          : std::vector<std::size_t>();
+  // The wave completes when its slowest reply lands: overlapped in-flight
+  // probes pay the *maximum* of their round trips, not the sum.
+  std::uint64_t wave_delay = 0;
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    const std::size_t i = order.empty() ? k : order[k];
+    int hops = 0;
+    replies[i] = walk_probe(origin, probes[i], hops);
+    wave_delay = std::max(wave_delay, probe_delay_us(probes[i], hops));
+  }
+  if (wave_delay > 0) clock_.sleep_us(wave_delay);
+}
+
 net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
-                                    int* hops_walked) {
-  int links_crossed = 0;
-  if (hops_walked != nullptr) *hops_walked = 0;
+                                    int& hops_walked) {
   // Claim this probe's virtual-clock slot and sequence number up front; the
   // walk itself runs lock-free against the immutable topology (concurrent
   // send_probe contract in the header).
@@ -336,21 +284,14 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
   // The probe's private fault keystream lives on this stack frame; draws are
   // consumed in forwarding order, which is a pure function of (topology,
   // probe), so outcomes do not depend on what other probes are in flight.
+  // Default-policy forward faults are charged once, end to end, so the
+  // observed loss rate matches the configured one on any path length.
   std::optional<util::Rng> fault_rng;
   if (faults_enabled_) {
     fault_rng.emplace(fault_draw_stream(faults_.seed, probe));
     slot.fault_rng = &*fault_rng;
-    const FaultPolicy& def = faults_.default_policy;
-    // Default-policy forward faults are charged once, end to end, so the
-    // observed loss rate matches the configured one on any path length.
-    if (def.blackholes(probe.ttl)) {
-      fault_blackholed_.fetch_add(1, std::memory_order_relaxed);
+    if (forward_fault(faults_.default_policy, probe, *fault_rng))
       return count(net::ProbeReply::none());
-    }
-    if (def.probe_loss > 0.0 && fault_rng->chance(def.probe_loss)) {
-      fault_probe_lost_.fetch_add(1, std::memory_order_relaxed);
-      return count(net::ProbeReply::none());
-    }
   }
 
   const Node& origin_node = topology_.node(origin);
@@ -380,27 +321,34 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
     // Node-override forward faults are charged where the packet actually
     // travels: entering an overridden node may black-hole or drop it.
     if (faults_enabled_ && current != origin) {
-      if (const FaultPolicy* over = faults_.override_for(current)) {
-        if (over->blackholes(probe.ttl)) {
-          fault_blackholed_.fetch_add(1, std::memory_order_relaxed);
-          return count(net::ProbeReply::none());
-        }
-        if (over->probe_loss > 0.0 && fault_rng->chance(over->probe_loss)) {
-          fault_probe_lost_.fetch_add(1, std::memory_order_relaxed);
-          return count(net::ProbeReply::none());
-        }
-      }
-    }
-
-    // Delivery: the packet is destined to one of this node's addresses.
-    if (target_iface && topology_.interface(*target_iface).node == current) {
-      if (topology_.subnet(topology_.interface(*target_iface).subnet).firewalled)
+      const FaultPolicy* over = faults_.override_for(current);
+      if (over != nullptr && forward_fault(*over, probe, *fault_rng))
         return count(net::ProbeReply::none());
-      return respond_direct(current, probe, *target_iface, incoming,
-                            origin_subnet, slot);
     }
 
     const Node& node = topology_.node(current);
+    const ResponseConfig& config = node.config_for(probe.protocol);
+
+    // Delivery: the packet is destined to one of this node's addresses. A
+    // dark interface never answers; a flaky one drops the reply on a
+    // deterministic per-probe roll keyed off the injection sequence number:
+    // same run -> same outcome; different probe schedule -> different drop
+    // pattern.
+    if (target_iface && topology_.interface(*target_iface).node == current) {
+      const Interface& target = topology_.interface(*target_iface);
+      if (topology_.subnet(target.subnet).firewalled || !target.responsive)
+        return count(net::ProbeReply::none());
+      if (target.flakiness > 0.0) {
+        const std::uint64_t roll = util::mix64(
+            (static_cast<std::uint64_t>(*target_iface) << 32) ^ slot.sequence);
+        if (static_cast<double>(roll >> 11) * 0x1.0p-53 < target.flakiness)
+          return count(net::ProbeReply::none());
+      }
+      return respond(current, config.direct,
+                     direct_reply_type(probe.protocol), *target_iface,
+                     incoming, origin_subnet, config.default_interface, slot);
+    }
+
     if (node.is_host && current != origin)
       return count(net::ProbeReply::none());  // hosts do not forward
 
@@ -409,16 +357,21 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
     // forward without decrementing: they can never expire a probe, so they
     // never appear in a trace, and hops past the tunnel answer at shifted
     // TTLs. Depth is the router's 1-based hop distance from the origin — a
-    // pure function of (topology, probe).
+    // pure function of (topology, probe). On expiry, anonymous routers
+    // forward but never send Time Exceeded — the hop shows up as '*' in
+    // every trace regardless of retries.
     if (current != origin) {
       ++router_depth;
       if (faults_enabled_ && faults_.hides_depth(router_depth)) {
         fault_hidden_hops_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        --ttl;
-        if (ttl <= 0)
-          return respond_indirect(current, probe, incoming, origin_subnet,
-                                  slot);
+      } else if (--ttl <= 0) {
+        if (faults_enabled_ && faults_.reply_policy(current).anonymous) {
+          fault_anonymous_.fetch_add(1, std::memory_order_relaxed);
+          return count(net::ProbeReply::none());
+        }
+        return respond(current, config.indirect,
+                       net::ResponseType::kTtlExceeded, kInvalidId, incoming,
+                       origin_subnet, config.default_interface, slot);
       }
     }
 
@@ -430,11 +383,16 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
       // Final LAN: deliver to the owner across the subnet, or fail "ARP".
       const Subnet& lan = topology_.subnet(*target_subnet);
       if (lan.firewalled) return count(net::ProbeReply::none());
-      if (!target_iface)
-        return arp_fail(current, probe, incoming, origin_subnet, lan, slot);
+      if (!target_iface) {
+        if (lan.arp_fail == ArpFailBehavior::kSilent)
+          return count(net::ProbeReply::none());
+        return respond(current, config.indirect,
+                       net::ResponseType::kHostUnreachable, kInvalidId,
+                       incoming, origin_subnet, config.default_interface, slot);
+      }
       current = topology_.interface(*target_iface).node;
       incoming = *target_iface;
-      if (hops_walked != nullptr) *hops_walked = ++links_crossed;
+      ++hops_walked;
       continue;
     }
 
@@ -445,7 +403,7 @@ net::ProbeReply Network::walk_probe(NodeId origin, const net::Probe& probe,
     current = hop.node;
     incoming = hop.ingress;
     member = hop.member;
-    if (hops_walked != nullptr) *hops_walked = ++links_crossed;
+    ++hops_walked;
   }
   return count(net::ProbeReply::none());  // loop guard tripped
 }

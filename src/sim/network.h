@@ -29,6 +29,7 @@
 #include "sim/ratelimit.h"
 #include "sim/routing.h"
 #include "sim/topology.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace tn::sim {
@@ -112,14 +113,13 @@ class Network {
  public:
   // Routing state is built on the first probe, not here (sim/routing.h):
   // a Network costs nothing per subnet until it forwards.
-  explicit Network(const Topology& topology, NetworkConfig config = {})
-      : topology_(topology), routing_(topology), config_(config) {}
+  explicit Network(const Topology& topology, NetworkConfig config = {});
   // A builder cannot be routed: freeze it first.
   explicit Network(const TopologyBuilder&, NetworkConfig = {}) = delete;
 
   // Injects `probe` from `origin` (a host or router in the topology) and
   // returns the reply the origin would eventually observe (kNone = silence).
-  // This is the only way traffic enters the simulator.
+  // It is send_probe_batch on a wave of one, without the vector.
   //
   // Safe to call from several campaign workers at once; forwarding walks
   // proceed in parallel. Each probe atomically claims a slot on the virtual
@@ -134,47 +134,32 @@ class Network {
   net::ProbeReply send_probe(NodeId origin, const net::Probe& probe);
 
   // Injects a whole wave of probes with overlapped round trips: every probe
-  // claims its virtual-clock slot and sequence number in batch order (so the
-  // clock-driven state sees the same schedule a serial caller would), the
-  // walks run lock-free back to back, and the wave pays exactly *one*
-  // emulated `wall_rtt_us` sleep instead of one per probe — in-flight
-  // probes on a live network overlap their round trips the same way.
-  // replies[i] answers probes[i]. Thread-safe like send_probe; concurrent
-  // waves interleave their slot claims as an arbitrary arbitration.
+  // claims its virtual-clock slot and sequence number in batch order (or
+  // within the fault spec's reorder window), the walks run back to back,
+  // and the wave pays exactly *one* emulated round trip, its slowest
+  // probe's — in-flight probes on a live network overlap their round trips
+  // the same way. replies[i] answers probes[i]. Thread-safe like
+  // send_probe; concurrent waves interleave their slot claims as an
+  // arbitrary arbitration.
   std::vector<net::ProbeReply> send_probe_batch(
       NodeId origin, std::span<const net::Probe> probes);
 
- private:
-  // The forwarding walk proper; send_probe adds the optional emulated RTT.
-  // `hops_walked`, when given, receives the number of forwarding steps the
-  // packet took before its fate was decided — a pure function of
-  // (topology, probe), which the per-link delay model feeds on.
-  net::ProbeReply walk_probe(NodeId origin, const net::Probe& probe,
-                             int* hops_walked = nullptr);
-
-  // The emulated round trip of one probe under the configured delay model
-  // (wall_rtt_us + 2*link_delay_us*hops + content-keyed jitter).
-  std::uint64_t probe_delay_us(const net::Probe& probe, int hops) const;
-
-  // Waits out `delay_us` of round trip: a wall sleep, or a virtual-time
-  // wait when a scheduler is configured. Never touches reply state.
-  void emulate_rtt(std::uint64_t delay_us);
-
- public:
   // The configured virtual-time scheduler, nullptr in wall-sleep mode. The
   // campaign runtime uses this to register its workers and to run the
   // pacer on simulated time.
   vtime::Scheduler* scheduler() const noexcept { return config_.scheduler; }
 
-  // Installs a response rate limiter on one node.
+  // Installs a response rate limiter on one node, replacing any it had.
+  // Install before probing starts; not safe to call concurrently with
+  // send_probe.
   void set_rate_limiter(NodeId node, RateLimiter limiter);
 
   // Installs a fault scenario (sim/faults.h): probe/reply loss, anonymous
   // routers, black-holed TTL ranges, per-node rate limiting and bounded
   // reply reordering, all replayed byte-identically for a fixed
   // (topology, spec, seed) triple. Rate limits named by the spec are
-  // installed as RateLimiters immediately. Install before probing starts;
-  // not safe to call concurrently with send_probe.
+  // installed as RateLimiters immediately, replacing earlier ones on the
+  // same nodes. Install before probing starts, like set_rate_limiter.
   void set_faults(FaultSpec spec);
   const FaultSpec& faults() const noexcept { return faults_; }
   bool faults_enabled() const noexcept { return faults_enabled_; }
@@ -223,29 +208,41 @@ class Network {
     util::Rng* fault_rng = nullptr;
   };
 
-  net::ProbeReply respond_direct(NodeId node, const net::Probe& probe,
-                                 InterfaceId target_iface,
-                                 InterfaceId incoming_iface,
-                                 SubnetId origin_subnet, const ProbeSlot& slot);
-  net::ProbeReply respond_indirect(NodeId node, const net::Probe& probe,
-                                   InterfaceId incoming_iface,
-                                   SubnetId origin_subnet,
-                                   const ProbeSlot& slot);
-  net::ProbeReply arp_fail(NodeId node, const net::Probe& probe,
-                           InterfaceId incoming_iface, SubnetId origin_subnet,
-                           const Subnet& lan, const ProbeSlot& slot);
+  // Walks `probes` as one wave, replies[i] answering probes[i]: in batch
+  // order, or permuted within the fault spec's reorder window; then waits
+  // out the wave's slowest emulated round trip on the clock.
+  void send_wave(NodeId origin, std::span<const net::Probe> probes,
+                 std::span<net::ProbeReply> replies);
 
-  // Resolves the source address of a reply per `policy`; kInvalidId-free
-  // result of unset means "suppress the reply".
+  // The forwarding walk proper. `hops_walked` is advanced once per link the
+  // packet crossed before its fate was decided — a pure function of
+  // (topology, probe), which the per-link delay model feeds on.
+  net::ProbeReply walk_probe(NodeId origin, const net::Probe& probe,
+                             int& hops_walked);
+
+  // The emulated round trip of one probe under the configured delay model
+  // (wall_rtt_us + 2*link_delay_us*hops + content-keyed jitter).
+  std::uint64_t probe_delay_us(const net::Probe& probe, int hops) const;
+
+  // Charges `policy`'s forward-path faults: a black-holed TTL, then a
+  // probe-loss draw. True when the probe is gone; the caller counts it.
+  bool forward_fault(const FaultPolicy& policy, const net::Probe& probe,
+                     util::Rng& fault_rng);
+
+  // Builds the reply `node` sends under `policy`, once the caller's own
+  // preconditions passed: silence for a nil policy, then rate-limit
+  // admission, the source address, responder-side reply loss; counts the
+  // result.
+  net::ProbeReply respond(NodeId node, ResponsePolicy policy,
+                          net::ResponseType type, InterfaceId probed_iface,
+                          InterfaceId incoming_iface, SubnetId origin_subnet,
+                          InterfaceId default_iface, const ProbeSlot& slot);
+
+  // Resolves the source address of a reply per `policy`; an unset result
+  // means "suppress the reply".
   net::Ipv4Addr reply_source(NodeId node, ResponsePolicy policy,
                              InterfaceId probed_iface, InterfaceId incoming_iface,
                              SubnetId origin_subnet, InterfaceId default_iface);
-
-  bool admit_response(NodeId node, const ProbeSlot& slot);
-
-  // Applies the responder-side reply_loss draw, then counts the reply.
-  net::ProbeReply finish_reply(NodeId node, net::ProbeReply reply,
-                               const ProbeSlot& slot);
 
   // Which of `node`'s `count` equal-cost next hops the probe takes.
   std::uint32_t pick_next_hop(NodeId node, const net::Probe& probe,
@@ -256,6 +253,7 @@ class Network {
   const Topology& topology_;
   RoutingTable routing_;
   NetworkConfig config_;
+  util::Clock& clock_;  // where emulated round trips elapse
 
   // Statistics: relaxed atomics, incremented from concurrent walks.
   std::atomic<std::uint64_t> probes_injected_{0};
@@ -280,13 +278,18 @@ class Network {
   FaultSpec faults_;
   bool faults_enabled_ = false;
 
-  // Token buckets and round-robin cursors are the only per-node mutable
-  // state; both are rare on the probe path (rate-limited routers, per-packet
-  // balancers) so one small mutex each is plenty.
+  // The only per-node mutable state, one entry per NodeId: the per-packet
+  // round-robin turn, and the rate limiter as a 1-based index into
+  // limiters_ (0: none). Limiters are installed before probing starts, so a
+  // node without one takes no lock; the few limited routers charge their
+  // token buckets under the one mutex.
+  struct NodeState {
+    std::atomic<std::uint32_t> turn{0};
+    std::uint32_t limiter = 0;
+  };
+  std::vector<NodeState> nodes_;
+  std::vector<RateLimiter> limiters_;
   std::mutex limiter_mutex_;
-  std::unordered_map<NodeId, RateLimiter> limiters_;
-  std::mutex round_robin_mutex_;
-  std::unordered_map<NodeId, std::uint32_t> round_robin_;
   StepHook step_hook_;
 };
 

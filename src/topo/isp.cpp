@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/network.h"
 #include "topo/address_pool.h"
 #include "util/rng.h"
 
@@ -374,6 +375,13 @@ SimulatedInternet build_internet(const std::vector<IspProfile>& profiles,
                                  std::uint64_t seed) {
   InternetBuilder builder(seed);
   return builder.build(profiles);
+}
+
+void install_rate_limit_plan(
+    sim::Network& net,
+    const std::vector<std::pair<sim::NodeId, double>>& plan) {
+  for (const auto& [router, pps] : plan)
+    net.set_rate_limiter(router, sim::RateLimiter(pps, kRateLimitBurst));
 }
 
 }  // namespace tn::topo

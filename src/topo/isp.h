@@ -24,6 +24,10 @@
 #include "sim/topology.h"
 #include "topo/ground_truth.h"
 
+namespace tn::sim {
+class Network;
+}  // namespace tn::sim
+
 namespace tn::topo {
 
 struct IspProfile {
@@ -104,5 +108,14 @@ struct SimulatedInternet {
 
 SimulatedInternet build_internet(const std::vector<IspProfile>& profiles,
                                  std::uint64_t seed = 7);
+
+// The burst of every planned rate limiter. perfbench/src/workloads.cpp
+// repeats the 5.0: the benchmark's sources change only with the benchmark.
+inline constexpr double kRateLimitBurst = 5.0;
+
+// Installs a rate-limit plan on `net` before probing starts: a RateLimiter
+// per planned router, at its replies/second, bursting to kRateLimitBurst.
+void install_rate_limit_plan(
+    sim::Network& net, const std::vector<std::pair<sim::NodeId, double>>& plan);
 
 }  // namespace tn::topo

@@ -76,7 +76,7 @@ std::vector<net::Ipv4Addr> parse_addrs(std::string_view text) {
   if (text.empty()) return out;
   for (const std::string& part : util::split(text, ',')) {
     const auto addr = net::Ipv4Addr::parse(part);
-    if (!addr) throw std::runtime_error("bad address list entry: " + part);
+    if (!addr) throw std::invalid_argument("bad address list entry: " + part);
     out.push_back(*addr);
   }
   return out;
@@ -167,6 +167,10 @@ LoadedTopology read_topology(std::istream& in) {
       if (fields.size() < 4) fail(line_no, "node needs: id kind name");
       std::uint64_t id = 0;
       if (!util::parse_u64(fields[1], id)) fail(line_no, "bad node id");
+      if (node_ids.contains(id))
+        fail(line_no, "duplicate node id " + fields[1]);
+      if (fields[2] != "host" && fields[2] != "router")
+        fail(line_no, "unknown node kind " + fields[2]);
       const sim::NodeId actual = fields[2] == "host"
                                      ? topo.add_host(fields[3])
                                      : topo.add_router(fields[3]);
@@ -180,6 +184,8 @@ LoadedTopology read_topology(std::istream& in) {
       if (fields.size() < 3) fail(line_no, "subnet needs: id prefix");
       std::uint64_t id = 0;
       if (!util::parse_u64(fields[1], id)) fail(line_no, "bad subnet id");
+      if (subnet_ids.contains(id))
+        fail(line_no, "duplicate subnet id " + fields[1]);
       const auto prefix = net::Prefix::parse(fields[2]);
       if (!prefix) fail(line_no, "bad prefix " + fields[2]);
       const sim::SubnetId actual = topo.add_subnet(*prefix);
@@ -274,7 +280,7 @@ LoadedTopology read_topology(std::istream& in) {
     }
     } catch (const std::invalid_argument& error) {
       // Topology validation failures (duplicate address, bad policy, ...)
-      // become file errors with a line number.
+      // and bad truth address lists become file errors with a line number.
       fail(line_no, error.what());
     }
   }

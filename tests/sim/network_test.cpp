@@ -1,5 +1,10 @@
 #include "sim/network.h"
 
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "testutil.h"
@@ -248,6 +253,92 @@ TEST_F(NetworkTest, ZeroTtlNeverLeavesFirstRouter) {
   // TTL 0 expires at the first forwarding router.
   EXPECT_EQ(reply.type, ResponseType::kTtlExceeded);
   EXPECT_EQ(reply.responder, ip("10.0.0.2"));
+}
+
+// T threads each send the same N probe pairs at once, half of them one probe
+// at a time and half in waves of two. The first probe of a pair expires
+// behind a per-packet balancer with k equal-cost next hops; the second is
+// delivered to a rate-limited router, reached through a single next hop so
+// it takes no balancer turn. Turns and tokens must both be conserved: the
+// balancer hands out exactly one turn per probe, and every probe that
+// reaches the limited router is either answered or counted as rate limited.
+TEST(NetworkConcurrency, BalancerTurnsAndLimiterTokensAreConserved) {
+  constexpr int kThreads = 4;
+  constexpr int kPairs = 300;
+  constexpr int kNextHops = 3;
+
+  TopologyBuilder b;
+  const NodeId vantage = b.add_host("V");
+  const NodeId balancer = b.add_router("R0");
+  const NodeId last = b.add_router("L");
+  const NodeId limited = b.add_router("M");
+  const SubnetId lan_v = b.add_subnet(pfx("10.0.0.0/30"));
+  b.attach(vantage, lan_v, ip("10.0.0.1"));
+  b.attach(balancer, lan_v, ip("10.0.0.2"));
+  b.set_per_packet_load_balancing(balancer, true);
+  std::vector<net::Ipv4Addr> next_hops;
+  for (int i = 0; i < kNextHops; ++i) {
+    const NodeId hop = b.add_router("B" + std::to_string(i));
+    const std::string in = "10.1." + std::to_string(i) + ".";
+    const std::string out = "10.2." + std::to_string(i) + ".";
+    const SubnetId first = b.add_subnet(pfx(in + "0/30"));
+    b.attach(balancer, first, ip(in + "1"));
+    b.attach(hop, first, ip(in + "2"));
+    const SubnetId second = b.add_subnet(pfx(out + "0/30"));
+    b.attach(hop, second, ip(out + "1"));
+    b.attach(last, second, ip(out + "2"));
+    next_hops.push_back(ip(in + "2"));
+  }
+  b.attach(last, b.add_subnet(pfx("10.3.0.0/24")), ip("10.3.0.1"));
+  const SubnetId to_limited = b.add_subnet(pfx("10.4.0.0/30"));
+  b.attach(balancer, to_limited, ip("10.4.0.1"));
+  b.attach(limited, to_limited, ip("10.4.0.2"));
+  b.attach(limited, b.add_subnet(pfx("10.5.0.0/30")), ip("10.5.0.1"));
+  const Topology topo = std::move(b).build();
+
+  Network net(topo);
+  net.set_rate_limiter(limited, RateLimiter(100.0, 4.0));
+  const Probe pair[2] = {indirect(ip("10.3.0.1"), 2),
+                         indirect(ip("10.5.0.1"), 2)};
+
+  std::vector<std::map<std::uint32_t, int>> answered(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int n = 0; n < kPairs; ++n) {
+        std::vector<net::ProbeReply> replies;
+        if (t % 2 == 0) {
+          replies = {net.send_probe(vantage, pair[0]),
+                     net.send_probe(vantage, pair[1])};
+        } else {
+          replies = net.send_probe_batch(vantage, pair);
+        }
+        for (const net::ProbeReply& reply : replies)
+          if (!reply.is_none()) ++answered[t][reply.responder.value()];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::map<std::uint32_t, int> total;
+  for (const auto& per_thread : answered)
+    for (const auto& [responder, count] : per_thread)
+      total[responder] += count;
+  for (const net::Ipv4Addr hop : next_hops)
+    EXPECT_EQ(total[hop.value()], kThreads * kPairs / kNextHops)
+        << hop.to_string();
+
+  const NetworkStats stats = net.stats();
+  const int limited_replies = total[ip("10.5.0.1").value()];
+  EXPECT_GT(limited_replies, 0);
+  EXPECT_GT(stats.rate_limited, 0u);
+  EXPECT_EQ(stats.rate_limited + static_cast<std::uint64_t>(limited_replies),
+            static_cast<std::uint64_t>(kThreads * kPairs));
+  EXPECT_EQ(stats.probes_injected,
+            static_cast<std::uint64_t>(2 * kThreads * kPairs));
+  EXPECT_EQ(stats.echo_replies + stats.ttl_exceeded + stats.unreachable +
+                stats.tcp_resets + stats.silent,
+            stats.probes_injected);
 }
 
 }  // namespace

@@ -15,7 +15,14 @@
 // in churn epoch 1; every third router of the reference and random
 // topologies answers TTL expiry from its shortest-path interface toward the
 // origin.
+//
+// WalkPins.ImpairedReferences repeats the sweep on the two reference
+// topologies with every impairment the walk applies installed at once, sent
+// probe by probe and in reordered waves, and hashes the NetworkStats counters
+// with the replies.
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,26 +61,19 @@ void add_balancers_and_shortest_path_replies(Topology& topo) {
   });
 }
 
-std::uint64_t sweep_hash(const Topology& topo, const std::vector<NodeId>& origins,
-                         SubnetId stride,
-                         EcmpHashMode ecmp = EcmpHashMode::kPerDestSubnet) {
-  NetworkConfig config;
-  config.ecmp_hash = ecmp;
-  Network net(topo, config);
-  FaultSpec churn;
-  churn.seed = 11;
-  churn.churn_epoch_us = 1;
-  churn.churn_fraction = 0.5;
-  net.set_faults(churn);
-  const RoutingTable table(topo);
+// One probe of the sweep and the node it leaves from.
+struct SweepProbe {
+  NodeId origin;
+  net::Probe probe;
+};
 
-  std::uint64_t hash = kFnvBasis;
+// The probes of the sweep, in sending order.
+std::vector<SweepProbe> sweep_probes(const Topology& topo,
+                                     const std::vector<NodeId>& origins,
+                                     SubnetId stride) {
+  const RoutingTable table(topo);
+  std::vector<SweepProbe> probes;
   std::uint64_t index = 0;
-  const auto send = [&](NodeId origin, const net::Probe& probe) {
-    const net::ProbeReply reply = net.send_probe(origin, probe);
-    fnv1a64(hash, static_cast<std::uint64_t>(reply.type), 1);
-    fnv1a64(hash, reply.responder.value(), 4);
-  };
   for (const NodeId origin : origins) {
     for (SubnetId s = 0; s < topo.subnet_count(); s += stride) {
       const net::Prefix& prefix = topo.subnet(s).prefix;
@@ -96,14 +96,134 @@ std::uint64_t sweep_hash(const Topology& topo, const std::vector<NodeId>& origin
         ++index;
         for (int ttl = 1; ttl <= distance + 1 || ttl == 1; ++ttl) {
           probe.ttl = static_cast<std::uint8_t>(ttl);
-          send(origin, probe);
+          probes.push_back({origin, probe});
         }
         probe.ttl = net::kDirectProbeTtl;
-        send(origin, probe);
+        probes.push_back({origin, probe});
       }
     }
   }
   EXPECT_GT(index, 100u);
+  return probes;
+}
+
+void hash_reply(std::uint64_t& hash, const net::ProbeReply& reply) {
+  fnv1a64(hash, static_cast<std::uint64_t>(reply.type), 1);
+  fnv1a64(hash, reply.responder.value(), 4);
+}
+
+std::uint64_t sweep_hash(const Topology& topo, const std::vector<NodeId>& origins,
+                         SubnetId stride,
+                         EcmpHashMode ecmp = EcmpHashMode::kPerDestSubnet) {
+  NetworkConfig config;
+  config.ecmp_hash = ecmp;
+  Network net(topo, config);
+  FaultSpec churn;
+  churn.seed = 11;
+  churn.churn_epoch_us = 1;
+  churn.churn_fraction = 0.5;
+  net.set_faults(churn);
+
+  std::uint64_t hash = kFnvBasis;
+  for (const SweepProbe& sent : sweep_probes(topo, origins, stride))
+    hash_reply(hash, net.send_probe(sent.origin, sent.probe));
+  return hash;
+}
+
+// Every third multi-access LAN answers an unassigned address with ICMP Host
+// Unreachable instead of silence.
+void add_host_unreachable_lans(Topology& topo) {
+  test::edit(topo, [](TopologyBuilder& b) {
+    int lans = 0;
+    for (SubnetId s = 0; s < b.subnet_count(); ++s)
+      if (b.subnet(s).prefix.length() < 30 && lans++ % 3 == 0)
+        b.subnet_mut(s).arp_fail = ArpFailBehavior::kHostUnreachable;
+  });
+}
+
+// Installs every impairment the walk models: rate limiters on every fifth
+// router, as the §4.2 plan installs them, and a fault spec in which each
+// mechanism fires — end-to-end and per-router black-holing, probe loss and
+// reply loss, anonymous routers, spec rate limits, a hidden depth, churn at
+// every router and wave reordering. When the pin was taken, each also fired
+// on its own: the counters stayed above zero with either the default policy
+// or the overrides removed, and with either kind of rate limiter removed.
+void impair(Network& net, const Topology& topo) {
+  std::vector<NodeId> routers;
+  for (NodeId n = 0; n < topo.node_count(); ++n)
+    if (!topo.node(n).is_host) routers.push_back(n);
+  FaultSpec spec;
+  spec.seed = 29;
+  spec.default_policy.probe_loss = 0.05;
+  spec.default_policy.reply_loss = 0.05;
+  spec.default_policy.blackhole_ttl_lo = 9;
+  spec.default_policy.blackhole_ttl_hi = 9;
+  spec.reorder_window = 4;
+  spec.hide_ttl_lo = 3;
+  spec.hide_ttl_hi = 3;
+  spec.churn_epoch_us = 1;
+  spec.churn_fraction = 1.0;
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    if (r % 5 == 3) net.set_rate_limiter(routers[r], RateLimiter(100.0, 5.0));
+    FaultPolicy policy;
+    switch (r % 9) {
+      case 1: policy.blackhole_ttl_lo = 6; policy.blackhole_ttl_hi = 6; break;
+      case 2: policy.probe_loss = 0.2; break;
+      case 4: policy.reply_loss = 0.3; break;
+      case 5: policy.anonymous = true; break;
+      case 7: policy.icmp_rate = 200.0; policy.icmp_burst = 2.0; break;
+      default: continue;
+    }
+    spec.node_overrides.emplace(routers[r], policy);
+  }
+  net.set_faults(std::move(spec));
+}
+
+// The sweep from `vantage` through an impaired network, probe by probe
+// (`wave` 1) or in waves of `wave` probes: the hash of every reply, then of
+// every NetworkStats field.
+std::uint64_t impaired_hash(const Topology& topo, NodeId vantage,
+                            std::size_t wave) {
+  Network net(topo);
+  impair(net, topo);
+  std::vector<net::Probe> probes;
+  for (const SweepProbe& sent : sweep_probes(topo, {vantage}, 1))
+    probes.push_back(sent.probe);
+
+  std::uint64_t hash = kFnvBasis;
+  std::uint64_t host_unreachable = 0;
+  const auto record = [&](const net::ProbeReply& reply) {
+    hash_reply(hash, reply);
+    host_unreachable += reply.type == net::ResponseType::kHostUnreachable;
+  };
+  if (wave == 1) {
+    for (const net::Probe& probe : probes)
+      record(net.send_probe(vantage, probe));
+  } else {
+    const std::span<const net::Probe> all(probes);
+    for (std::size_t i = 0; i < all.size(); i += wave)
+      for (const net::ProbeReply& reply : net.send_probe_batch(
+               vantage, all.subspan(i, std::min(wave, all.size() - i))))
+        record(reply);
+  }
+  const NetworkStats stats = net.stats();
+  for (const std::uint64_t field :
+       {stats.probes_injected, stats.echo_replies, stats.ttl_exceeded,
+        stats.unreachable, stats.tcp_resets, stats.silent, stats.rate_limited,
+        stats.fault_probe_lost, stats.fault_reply_lost, stats.fault_anonymous,
+        stats.fault_blackholed, stats.fault_hidden_hops,
+        stats.fault_churned_picks})
+    fnv1a64(hash, field, 8);
+  EXPECT_EQ(stats.probes_injected, probes.size());
+  EXPECT_GT(stats.unreachable, 0u);
+  EXPECT_GT(host_unreachable, 0u);
+  EXPECT_GT(stats.rate_limited, 0u);
+  EXPECT_GT(stats.fault_probe_lost, 0u);
+  EXPECT_GT(stats.fault_reply_lost, 0u);
+  EXPECT_GT(stats.fault_anonymous, 0u);
+  EXPECT_GT(stats.fault_blackholed, 0u);
+  EXPECT_GT(stats.fault_hidden_hops, 0u);
+  EXPECT_GT(stats.fault_churned_picks, 0u);
   return hash;
 }
 
@@ -151,6 +271,28 @@ TEST(WalkPins, RandomMultiHomed) {
     fnv1a64(hash, sweep_hash(t, {host, 0, multi_homed}, 1), 8);
   }
   EXPECT_EQ(hash, 0x8bee3361446d2591ULL);
+}
+
+// The sweep through every impairment, serially and in reordered waves of 8,
+// pinned with the counters: rate-limit admission, reply loss, anonymous
+// routers, black-holed TTLs, hidden depths and ARP Host Unreachable, none of
+// which the churn-only pins above reach.
+TEST(WalkPins, ImpairedReferences) {
+  topo::ReferenceTopology internet2 = topo::internet2_like(42);
+  add_balancers_and_shortest_path_replies(internet2.topo);
+  add_host_unreachable_lans(internet2.topo);
+  EXPECT_EQ(impaired_hash(internet2.topo, internet2.vantage, 1),
+            0x8c3ad6dfb2858cdbULL);
+  EXPECT_EQ(impaired_hash(internet2.topo, internet2.vantage, 8),
+            0x9223ea60e955d0b7ULL);
+
+  topo::ReferenceTopology geant = topo::geant_like(43);
+  add_balancers_and_shortest_path_replies(geant.topo);
+  add_host_unreachable_lans(geant.topo);
+  EXPECT_EQ(impaired_hash(geant.topo, geant.vantage, 1),
+            0x9a3c7d340d7939fcULL);
+  EXPECT_EQ(impaired_hash(geant.topo, geant.vantage, 8),
+            0x9fd281b3661f2cc8ULL);
 }
 
 }  // namespace

@@ -175,6 +175,20 @@ TEST(Serialize, RejectsMalformedInput) {
   expect_throw(lan + "iface 0 0 10.0.0.1 flaky=-0.1\n");
   expect_throw(lan + "iface 0 0 10.0.0.1 flaky=0.1x\n");
   expect_throw(lan + "iface 0 0 10.0.0.1 shaky\n");
+  expect_throw("node 0 hots v\n");  // a misspelt kind is not a router
+  expect_throw("node 1 router r1\nnode 1 router r2\n");
+  expect_throw("subnet 0 10.0.0.0/30\nsubnet 0 10.0.1.0/30\n");
+  // A bad truth address list names its line like every other error.
+  std::stringstream bad_list(
+      lan + "truth 10.0.0.0/30 clean target=10.0.0.1 assigned=10.0.0.x "
+            "responsive=\n");
+  try {
+    read_topology(bad_list);
+    ADD_FAILURE() << "bad truth address list accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(),
+                 "topology file line 3: bad address list entry: 10.0.0.x");
+  }
 }
 
 TEST(Serialize, IgnoresCommentsAndBlankLines) {

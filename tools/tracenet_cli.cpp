@@ -333,8 +333,7 @@ int main(int argc, char** argv) {
       net_config.scheduler = &*scheduler;
     }
     network = std::make_unique<sim::Network>(world->topo, net_config);
-    for (const auto& [node, pps] : world->rate_limit_plan)
-      network->set_rate_limiter(node, sim::RateLimiter(pps, 5.0));
+    topo::install_rate_limit_plan(*network, world->rate_limit_plan);
     if (wants_faults) {
       sim::FaultSpec spec;
       if (const auto path = args.option("fault-spec")) {
@@ -367,7 +366,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<probe::ProbeEngine> paced;
   probe::ProbeEngine* active = engine.get();
   if (pps > 0 && !use_runtime) {
-    pacer.emplace(static_cast<double>(pps), 8.0,
+    pacer.emplace(static_cast<double>(pps), runtime::kPacerBurst,
                   scheduler ? &*scheduler : nullptr);
     paced = std::make_unique<runtime::PacedProbeEngine>(*engine, *pacer);
     active = paced.get();
