@@ -14,6 +14,7 @@
 #include "eval/report.h"
 #include "probe/retry.h"
 #include "probe/sim_engine.h"
+#include "runtime/campaign.h"
 #include "sim/network.h"
 #include "topo/isp.h"
 #include "topo/reference.h"
@@ -40,6 +41,17 @@ struct WireTiming {
   }
 };
 
+// The paper benches run each campaign serially: the campaign runtime at one
+// worker with the campaign-wide reply cache off, because that cache answers
+// a retry with the silence it cached for the first try (ROADMAP item 1).
+inline runtime::RuntimeConfig serial_campaign(
+    eval::CampaignConfig campaign = {}) {
+  runtime::RuntimeConfig config;
+  config.campaign = std::move(campaign);
+  config.share_probe_cache = false;
+  return config;
+}
+
 struct ReferenceRun {
   topo::ReferenceTopology ref;
   eval::VantageObservations observations;
@@ -51,8 +63,8 @@ struct ReferenceRun {
 inline ReferenceRun run_reference(topo::ReferenceTopology ref) {
   ReferenceRun run{std::move(ref), {}, {}};
   sim::Network net(run.ref.topo);
-  run.observations =
-      eval::run_campaign(net, run.ref.vantage, "utdallas", run.ref.targets, {});
+  run.observations = runtime::run_campaign(net, run.ref.vantage, "utdallas",
+                                           run.ref.targets, serial_campaign());
   probe::SimProbeEngine audit_wire(net, run.ref.vantage);
   probe::RetryingProbeEngine audit(audit_wire, 2);
   run.classification =
@@ -80,10 +92,10 @@ inline InternetRun run_internet(
     eval::CampaignConfig config;
     config.session.protocol = protocol;
     config.session.flow_id = static_cast<std::uint16_t>(v + 1);
-    run.vantages.push_back(eval::run_campaign(
+    run.vantages.push_back(runtime::run_campaign(
         net, run.internet.vantages[static_cast<std::size_t>(v)],
         run.internet.vantage_names[static_cast<std::size_t>(v)], targets,
-        config));
+        serial_campaign(config)));
   }
   return run;
 }

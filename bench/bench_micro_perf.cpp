@@ -3,9 +3,10 @@
 // numbers for the library itself, not a paper experiment.
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "core/session.h"
-#include "eval/campaign.h"
 #include "probe/sim_engine.h"
+#include "runtime/campaign.h"
 #include "sim/network.h"
 #include "topo/reference.h"
 
@@ -76,8 +77,8 @@ void BM_FullInternet2Campaign(benchmark::State& state) {
   for (auto _ : state) {
     const auto ref = topo::internet2_like(42);
     sim::Network net(ref.topo);
-    benchmark::DoNotOptimize(
-        eval::run_campaign(net, ref.vantage, "v", ref.targets, {}));
+    benchmark::DoNotOptimize(runtime::run_campaign(
+        net, ref.vantage, "v", ref.targets, bench::serial_campaign()));
   }
 }
 BENCHMARK(BM_FullInternet2Campaign)->Unit(benchmark::kMillisecond);

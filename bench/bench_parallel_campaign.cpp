@@ -1,5 +1,5 @@
 // Measures the concurrent campaign runtime (src/runtime/): wall-clock
-// speedup over the serial driver for jobs in {1, 2, 4, 8}, and the wire
+// speedup over one worker for jobs in {1, 2, 4, 8}, and the wire
 // probes saved by the Doubletree-style shared stop set — on the largest
 // simulated ISP (SprintLink-like, the paper's biggest in Table 3). Prints a
 // table and writes BENCH_parallel_campaign.json for downstream tooling.

@@ -7,7 +7,7 @@
 
 #include "eval/campaign.h"
 #include "eval/crossval.h"
-#include "probe/sim_engine.h"
+#include "runtime/campaign.h"
 #include "topo/isp.h"
 #include "topo/serialize.h"
 #include "util/strings.h"
@@ -26,14 +26,18 @@ int main() {
   sim::Network net(internet.topo);
   topo::install_rate_limit_plan(net, internet.rate_limit_plan);
 
+  // One worker per campaign, with the campaign-wide reply cache off: that
+  // cache answers a retry with the silence it cached for the first try, and
+  // this ISP network drops replies (ROADMAP item 1).
+  runtime::RuntimeConfig config;
+  config.share_probe_cache = false;
   std::vector<eval::VantageObservations> observations;
   const auto targets = internet.all_targets();
   for (std::size_t v = 0; v < internet.vantages.size(); ++v) {
-    eval::CampaignConfig config;
-    config.session.flow_id = static_cast<std::uint16_t>(v + 1);
-    observations.push_back(eval::run_campaign(net, internet.vantages[v],
-                                              internet.vantage_names[v],
-                                              targets, config));
+    config.campaign.session.flow_id = static_cast<std::uint16_t>(v + 1);
+    observations.push_back(runtime::run_campaign(net, internet.vantages[v],
+                                                 internet.vantage_names[v],
+                                                 targets, config));
     const auto& obs = observations.back();
     std::printf("%-8s traced %zu/%zu targets, %zu subnets, %zu un-subnetized "
                 "IPs, %llu probes\n",

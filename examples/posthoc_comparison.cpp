@@ -11,6 +11,7 @@
 #include "eval/classification.h"
 #include "probe/retry.h"
 #include "probe/sim_engine.h"
+#include "runtime/campaign.h"
 #include "topo/reference.h"
 #include "util/table.h"
 
@@ -53,9 +54,13 @@ int main() {
       run_baseline(oracle_targets);
 
   // --- tracenet: online exploration. ---------------------------------------
+  // One worker, with the campaign-wide reply cache off: that cache answers a
+  // retry with the silence it cached for the first try (ROADMAP item 1).
   sim::Network net_tn(ref.topo);
-  const eval::VantageObservations observations =
-      eval::run_campaign(net_tn, ref.vantage, "vantage", ref.targets, {});
+  runtime::RuntimeConfig config;
+  config.share_probe_cache = false;
+  const eval::VantageObservations observations = runtime::run_campaign(
+      net_tn, ref.vantage, "vantage", ref.targets, config);
 
   // --- Compare against ground truth. ----------------------------------------
   auto exact_count = [&](auto&& prefixes) {

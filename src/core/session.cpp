@@ -12,8 +12,7 @@ TracenetSession::TracenetSession(probe::ProbeEngine& wire_engine,
     : wire_engine_(wire_engine),
       config_(std::move(config)),
       retry_(std::make_unique<probe::RetryingProbeEngine>(
-          wire_engine_, probe::RetryConfig{.attempts = config_.retry_attempts,
-                                           .clock = config_.clock})),
+          wire_engine_, config_.retry_attempts)),
       cache_(config_.use_probe_cache
                  ? std::make_unique<probe::CachingProbeEngine>(*retry_)
                  : nullptr),

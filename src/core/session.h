@@ -54,9 +54,9 @@ struct SessionConfig {
   // Decisions are schedule-invariant, so the collected subnets stay
   // byte-identical to probe_window = 1. The CLI spells this "--window auto".
   probe::AdaptivePolicy adaptive;
-  // Clock for time-elapsing machinery inside the session: retry backoff and
-  // the adaptive controller's pacing. nullptr = wall clock; campaigns under
-  // --virtual-time inject the scheduler so sleeps elapse on simulated time.
+  // Clock the adaptive controller's pacing sleeps elapse on. nullptr = wall
+  // clock; campaigns under --virtual-time inject the scheduler so sleeps
+  // elapse on simulated time.
   util::Clock* clock = nullptr;
   // Optional cross-session coverage oracle: when set, a hop inside a subnet
   // some *other* session already explored is skipped, as a hop inside a

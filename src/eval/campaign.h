@@ -1,5 +1,7 @@
-// Campaign driver: runs tracenet from one vantage point over a target list
-// and aggregates the observations the paper's figures are computed from.
+// Campaign observations: what one vantage point's tracenet campaign
+// collected, the observations the paper's figures are computed from, and the
+// accumulator that merges session results into them.
+// runtime::CampaignRuntime (runtime/campaign.h) drives every campaign.
 #pragma once
 
 #include <map>
@@ -9,7 +11,6 @@
 
 #include "core/session.h"
 #include "net/prefix_index.h"
-#include "sim/network.h"
 
 namespace tn::eval {
 
@@ -37,12 +38,10 @@ struct VantageObservations {
   std::set<net::Prefix> prefixes() const;
 };
 
-// The campaign aggregation algorithm, factored out of run_campaign so the
-// serial driver and the concurrent runtime (runtime::CampaignRuntime)
-// produce observations through the *same* code path: feed session results
-// in target order, ask covered() before each, finalize once. Sharing the
-// merge logic is what makes the parallel runtime's deterministic mode
-// byte-identical to the serial path (see docs/RUNTIME.md).
+// The campaign aggregation algorithm: feed session results in target order,
+// ask covered() before each, finalize once. runtime::CampaignRuntime merges
+// every campaign through it, whatever its worker count, which is what makes
+// its deterministic mode byte-identical across --jobs (see docs/RUNTIME.md).
 class CampaignAccumulator {
  public:
   CampaignAccumulator(std::string vantage_name, std::size_t targets_total);
@@ -64,11 +63,5 @@ class CampaignAccumulator {
   std::map<net::Prefix, core::ObservedSubnet> by_prefix_;
   net::NestedPrefixIndex covered_;  // by_prefix_'s keys; values unused
 };
-
-// Runs a full campaign: one tracenet session per (not-yet-covered) target.
-VantageObservations run_campaign(sim::Network& network, sim::NodeId vantage,
-                                 const std::string& vantage_name,
-                                 const std::vector<net::Ipv4Addr>& targets,
-                                 const CampaignConfig& config = {});
 
 }  // namespace tn::eval

@@ -175,7 +175,7 @@ CellResult run_cell(const ScenarioCell& cell, const ScorecardRunConfig& config) 
   runtime::RuntimeConfig runtime_config;
   runtime_config.jobs = config.jobs;
   runtime_config.campaign.session.probe_window = config.probe_window;
-  const VantageObservations observed = runtime::run_campaign_parallel(
+  const VantageObservations observed = runtime::run_campaign(
       net, ref.vantage, "utdallas", ref.targets, runtime_config);
 
   // Audit on a fresh network carrying the same faults: the campaign

@@ -195,8 +195,8 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   }
   span("probe", probe_started);
 
-  // Canonical merge: replay the serial driver's loop over the per-target
-  // results, in target order, through the exact code the serial path uses.
+  // Canonical merge: replay the serial skip/merge loop over the per-target
+  // results, in target order.
   CampaignReport report;
   eval::CampaignAccumulator acc(vantage_name, count);
   probe::ForwardingProbeEngine merge_engine(*base);
@@ -296,7 +296,7 @@ CampaignReport CampaignRuntime::run(const std::string& vantage_name,
   return report;
 }
 
-eval::VantageObservations run_campaign_parallel(
+eval::VantageObservations run_campaign(
     sim::Network& network, sim::NodeId vantage, const std::string& vantage_name,
     const std::vector<net::Ipv4Addr>& targets, const RuntimeConfig& config,
     MetricsRegistry* metrics) {

@@ -1,9 +1,7 @@
-// CampaignRuntime: the concurrent campaign orchestrator.
-//
-// eval::run_campaign walks the target list serially through one
-// TracenetSession. This runtime fans the same list out over a std::thread
-// worker pool: each worker runs its own session against a shared,
-// thread-safe probe stack
+// CampaignRuntime: the campaign driver. It runs tracenet from one vantage
+// point over a target list, one TracenetSession per target not yet covered,
+// and fans the list out over a std::thread worker pool (--jobs). Each worker
+// runs its own session against a shared, thread-safe probe stack
 //
 //     SimProbeEngine (thread-safe simulator; walks run in parallel)
 //       -> PacedProbeEngine (aggregate token-bucket rate cap, --pps)
@@ -15,16 +13,19 @@
 // skip targets — and in fast mode, hops — already inside a subnet some
 // other worker grew.
 //
+// A serial campaign is jobs = 1. With share_probe_cache off as well it is
+// the plain serial loop, probe for probe: one session over the bare
+// simulator, targets in order, each skipped when a merged subnet covers it.
+//
 // Determinism contract (default mode): results are merged by *target
-// index*, not completion order, by replaying the serial driver's
-// skip/merge loop (eval::CampaignAccumulator) over the per-target session
-// results. A target is dispatch-skipped only when provably skippable in
-// any order (covered by a completed lower-index target); a target the
-// replay wants but the stop set skipped is re-traced serially during the
-// merge (rare). On networks whose replies are order-independent this makes
-// jobs=N output byte-identical to eval::run_campaign — wire_probes
-// excepted, which reports the real (schedule-dependent) probe cost. See
-// docs/RUNTIME.md.
+// index*, not completion order, by replaying that serial skip/merge loop
+// (eval::CampaignAccumulator) over the per-target session results. A target
+// is dispatch-skipped only when provably skippable in any order (covered by
+// a completed lower-index target); a target the replay wants but the stop
+// set skipped is re-traced serially during the merge (rare). On networks
+// whose replies are order-independent this makes jobs=N output
+// byte-identical to jobs=1 — wire_probes excepted, which reports the real
+// (schedule-dependent) probe cost. See docs/RUNTIME.md.
 #pragma once
 
 #include <string>
@@ -49,6 +50,9 @@ struct RuntimeConfig {
   double pps = 0.0;
 
   // Cross-session sharing knobs (both on by default; the bench ablates them).
+  // The paper benches and the examples turn share_probe_cache off: the cache
+  // answers a retry with the silence it cached for the first try (ROADMAP
+  // item 1).
   bool share_stop_set = true;     // Doubletree-style covered-prefix skipping
   bool share_probe_cache = true;  // campaign-wide reply memoization
 
@@ -105,8 +109,9 @@ class CampaignRuntime {
   MetricsRegistry own_metrics_;
 };
 
-// Drop-in parallel counterpart of eval::run_campaign.
-eval::VantageObservations run_campaign_parallel(
+// Runs one campaign and returns its observations (CampaignRuntime::run
+// without the report's session list and counters).
+eval::VantageObservations run_campaign(
     sim::Network& network, sim::NodeId vantage,
     const std::string& vantage_name,
     const std::vector<net::Ipv4Addr>& targets, const RuntimeConfig& config = {},

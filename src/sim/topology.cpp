@@ -110,16 +110,4 @@ std::optional<InterfaceId> Topology::interface_on(
   return std::nullopt;
 }
 
-std::vector<Topology::Link> Topology::links_from(NodeId node_id) const {
-  std::vector<Link> out;
-  for (const InterfaceId egress : nodes_.at(node_id).interfaces) {
-    const Subnet& lan = subnets_[interfaces_[egress].subnet];
-    for (const InterfaceId peer : lan.interfaces) {
-      if (peer == egress) continue;
-      out.push_back(Link{interfaces_[peer].node, lan.id, egress, peer});
-    }
-  }
-  return out;
-}
-
 }  // namespace tn::sim

@@ -1,8 +1,8 @@
 // Topology: an immutable snapshot of nodes, subnets and interfaces, plus
 // the lookup structures the forwarding plane needs: address -> interface (a
-// flat open-addressing util::FlatTable, one lookup per simulated packet),
-// longest-prefix-match address -> subnet (a sorted PrefixIndex) and router
-// adjacency.
+// flat open-addressing util::FlatTable, one lookup per simulated packet) and
+// longest-prefix-match address -> subnet (a sorted PrefixIndex). A node's
+// neighbours are the other interfaces on the subnets of its interfaces.
 //
 // A topology has two stages. TopologyBuilder holds every mutator and builds
 // incrementally; structural invariants (addresses inside the subnet prefix,
@@ -65,20 +65,6 @@ class Topology {
 
   // The node's interface on `subnet`, if attached.
   std::optional<InterfaceId> interface_on(NodeId node, SubnetId subnet) const noexcept;
-
-  // One adjacency edge: from the owner of `egress`, across `via`, to
-  // `neighbor` entering through `ingress`.
-  struct Link {
-    NodeId neighbor = kInvalidId;
-    SubnetId via = kInvalidId;
-    InterfaceId egress = kInvalidId;   // on the source node
-    InterfaceId ingress = kInvalidId;  // on the neighbor
-  };
-
-  // All links out of `node`, in deterministic (insertion) order. Computed on
-  // demand — materializing every LAN's pairwise links is O(k^2) per LAN and
-  // prohibitive for the /20-scale LANs of the ISP topologies.
-  std::vector<Link> links_from(NodeId node) const;
 
  private:
   friend class TopologyBuilder;
@@ -162,7 +148,6 @@ class TopologyBuilder : private Topology {
   using Topology::find_subnet_containing;
   using Topology::find_subnet_exact;
   using Topology::interface_on;
-  using Topology::links_from;
 };
 
 }  // namespace tn::sim

@@ -30,6 +30,7 @@
 #include "sim/faults.h"
 #include "sim/network.h"
 #include "sim/vtime/scheduler.h"
+#include "testutil.h"
 #include "topo/reference.h"
 
 namespace tn {
@@ -45,7 +46,7 @@ std::uint64_t fnv1a64(const std::string& text) {
   return hash;
 }
 
-// Golden pins of the fault-free run_campaign subnets_csv on the pinned
+// Golden pins of the fault-free serial campaign's subnets_csv on the pinned
 // references, captured before fault injection existed. The zero-fault path
 // must reproduce these bytes exactly.
 constexpr std::uint64_t kInternet2CsvHash = 0x25A7E62AEE858F8EULL;
@@ -58,11 +59,11 @@ topo::ReferenceTopology reference(bool geant) {
 }
 
 eval::VantageObservations run_with_faults(const topo::ReferenceTopology& ref,
-                                          const sim::FaultSpec& spec,
-                                          const eval::CampaignConfig& config = {}) {
+                                          const sim::FaultSpec& spec) {
   sim::Network net(ref.topo);
   net.set_faults(spec);
-  return eval::run_campaign(net, ref.vantage, "utdallas", ref.targets, config);
+  return runtime::run_campaign(net, ref.vantage, "utdallas", ref.targets,
+                               test::serial_runtime());
 }
 
 TEST(ChaosZeroFault, SubnetsCsvMatchesPrePrGoldenPins) {
@@ -72,8 +73,9 @@ TEST(ChaosZeroFault, SubnetsCsvMatchesPrePrGoldenPins) {
     // Entirely without faults, and with a spec whose probabilities are all
     // zero (which must disable itself): identical golden bytes either way.
     sim::Network plain_net(ref.topo);
-    const std::string plain = eval::subnets_csv(eval::run_campaign(
-        plain_net, ref.vantage, "utdallas", ref.targets, {}));
+    const std::string plain = eval::subnets_csv(runtime::run_campaign(
+        plain_net, ref.vantage, "utdallas", ref.targets,
+        test::serial_runtime()));
     const std::string zeroed = eval::subnets_csv(
         run_with_faults(ref, sim::FaultSpec::uniform_loss(0.0, 99)));
 
@@ -111,8 +113,9 @@ TEST(ChaosGrid, AccuracyNeverImprovesUnderLoss) {
     // Clean baseline, classified against ground truth with a fault-free
     // audit network.
     sim::Network clean_net(ref.topo);
-    const eval::VantageObservations clean = eval::run_campaign(
-        clean_net, ref.vantage, "utdallas", ref.targets, {});
+    const eval::VantageObservations clean = runtime::run_campaign(
+        clean_net, ref.vantage, "utdallas", ref.targets,
+        test::serial_runtime());
     sim::Network audit_net(ref.topo);
     probe::SimProbeEngine audit(audit_net, ref.vantage);
     const double clean_rate =
@@ -173,7 +176,7 @@ TEST(ChaosGrid, VirtualTimeLossyCampaignMatchesWallBytes) {
       runtime::RuntimeConfig config;
       config.jobs = 4;
       config.campaign.session.probe_window = 16;
-      return eval::subnets_csv(runtime::run_campaign_parallel(
+      return eval::subnets_csv(runtime::run_campaign(
           net, ref.vantage, "utdallas", ref.targets, config));
     };
 
@@ -211,7 +214,10 @@ TEST(ChaosMetrics, ParallelLossyRuntimeMatchesSerialLossyRun) {
     const topo::ReferenceTopology ref = reference(geant);
     const sim::FaultSpec spec = sim::FaultSpec::uniform_loss(0.2, 1);
 
-    const eval::VantageObservations serial = run_with_faults(ref, spec);
+    sim::Network serial_net(ref.topo);
+    serial_net.set_faults(spec);
+    const eval::VantageObservations serial = test::reference_campaign(
+        serial_net, ref.vantage, "utdallas", ref.targets);
 
     sim::Network net(ref.topo);
     net.set_faults(spec);
@@ -219,7 +225,7 @@ TEST(ChaosMetrics, ParallelLossyRuntimeMatchesSerialLossyRun) {
     config.jobs = 4;
     config.campaign.session.probe_window = 16;
     runtime::MetricsRegistry registry;
-    const eval::VantageObservations parallel = runtime::run_campaign_parallel(
+    const eval::VantageObservations parallel = runtime::run_campaign(
         net, ref.vantage, "utdallas", ref.targets, config, &registry);
 
     EXPECT_EQ(eval::subnets_csv(serial), eval::subnets_csv(parallel))
@@ -292,8 +298,8 @@ TEST(ChaosGrid, HiddenHopsAndChurnReplayByteIdenticallyToGoldenPins) {
       // Serial, wall clock, window 1 — the anchor run.
       sim::Network serial_net(ref.topo);
       serial_net.set_faults(spec);
-      const std::string serial = eval::subnets_csv(eval::run_campaign(
-          serial_net, ref.vantage, "utdallas", ref.targets, {}));
+      const std::string serial = eval::subnets_csv(test::reference_campaign(
+          serial_net, ref.vantage, "utdallas", ref.targets));
       EXPECT_EQ(fnv1a64(serial), mechanism.csv_hash[geant ? 1 : 0])
           << mechanism.name << " " << ref.name;
       const sim::NetworkStats stats = serial_net.stats();
@@ -310,10 +316,9 @@ TEST(ChaosGrid, HiddenHopsAndChurnReplayByteIdenticallyToGoldenPins) {
       windowed_net.set_faults(spec);
       eval::CampaignConfig windowed_config;
       windowed_config.session.probe_window = 16;
-      EXPECT_EQ(serial, eval::subnets_csv(
-                            eval::run_campaign(windowed_net, ref.vantage,
-                                               "utdallas", ref.targets,
-                                               windowed_config)))
+      EXPECT_EQ(serial, eval::subnets_csv(runtime::run_campaign(
+                            windowed_net, ref.vantage, "utdallas", ref.targets,
+                            test::serial_runtime(windowed_config))))
           << mechanism.name << " " << ref.name;
 
       // Parallel, windowed, on the virtual clock at a live-like RTT.
@@ -326,7 +331,7 @@ TEST(ChaosGrid, HiddenHopsAndChurnReplayByteIdenticallyToGoldenPins) {
       runtime::RuntimeConfig runtime_config;
       runtime_config.jobs = 4;
       runtime_config.campaign.session.probe_window = 16;
-      EXPECT_EQ(serial, eval::subnets_csv(runtime::run_campaign_parallel(
+      EXPECT_EQ(serial, eval::subnets_csv(runtime::run_campaign(
                             parallel_net, ref.vantage, "utdallas",
                             ref.targets, runtime_config)))
           << mechanism.name << " " << ref.name;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/campaign.h"
 #include "testutil.h"
 
 namespace tn::eval {
@@ -16,8 +17,8 @@ TEST(Campaign, CollectsAndDeduplicates) {
   // Two targets behind the same path: subnets must appear once each.
   const std::vector<net::Ipv4Addr> targets = {f.pivot4, f.pivot3,
                                               ip("10.0.4.2")};
-  const VantageObservations obs =
-      run_campaign(net, f.vantage, "V", targets, {});
+  const VantageObservations obs = runtime::run_campaign(
+      net, f.vantage, "V", targets, test::serial_runtime());
   std::set<net::Prefix> prefixes = obs.prefixes();
   EXPECT_EQ(prefixes.size(), obs.subnets.size());
   EXPECT_TRUE(prefixes.contains(pfx("10.0.1.0/31")));
@@ -31,13 +32,15 @@ TEST(Campaign, SkipsCoveredTargets) {
   const std::vector<net::Ipv4Addr> targets = {f.pivot4, f.pivot3, f.pivot6};
   CampaignConfig config;
   config.skip_covered_targets = true;
-  const VantageObservations obs = run_campaign(net, f.vantage, "V", targets, config);
+  const VantageObservations obs = runtime::run_campaign(
+      net, f.vantage, "V", targets, test::serial_runtime(config));
   EXPECT_EQ(obs.targets_traced, 1u);
   EXPECT_EQ(obs.targets_covered, 2u);
 
   sim::Network net2(f.topo);
   config.skip_covered_targets = false;
-  const VantageObservations all = run_campaign(net2, f.vantage, "V", targets, config);
+  const VantageObservations all = runtime::run_campaign(
+      net2, f.vantage, "V", targets, test::serial_runtime(config));
   EXPECT_EQ(all.targets_traced, 3u);
   // Same subnets either way.
   EXPECT_EQ(obs.prefixes(), all.prefixes());
@@ -48,8 +51,8 @@ TEST(Campaign, CountsSubnetizedAndUnsubnetizedAddresses) {
   // Make pivot4's neighbors dark so it cannot grow a subnet when probed as
   // part of the far-LAN trace... instead: isolate via a stub-only address.
   sim::Network net(f.topo);
-  const VantageObservations obs =
-      run_campaign(net, f.vantage, "V", {f.pivot4}, {});
+  const VantageObservations obs = runtime::run_campaign(
+      net, f.vantage, "V", {f.pivot4}, test::serial_runtime());
   EXPECT_GE(obs.subnetized_addrs.size(), 6u);  // path links + LAN members
   EXPECT_TRUE(obs.subnetized_addrs.contains(f.contra));
   // Nothing ended up un-subnetized on this clean topology.
@@ -62,8 +65,8 @@ TEST(Campaign, TargetsRespondingTracksReachability) {
     b.subnet_mut(f.far_lan).firewalled = true;
   });
   sim::Network net(f.topo);
-  const VantageObservations obs = run_campaign(
-      net, f.vantage, "V", {f.pivot4, ip("10.0.4.2")}, {});
+  const VantageObservations obs = runtime::run_campaign(
+      net, f.vantage, "V", {f.pivot4, ip("10.0.4.2")}, test::serial_runtime());
   EXPECT_EQ(obs.targets_traced, 2u);
   EXPECT_EQ(obs.targets_responding, 1u);  // the firewalled one never answers
 }

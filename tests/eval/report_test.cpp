@@ -4,6 +4,7 @@
 
 #include "probe/retry.h"
 #include "probe/sim_engine.h"
+#include "runtime/campaign.h"
 #include "testutil.h"
 #include "topo/reference.h"
 
@@ -13,8 +14,8 @@ namespace {
 TEST(Report, SubnetsCsvHasOneRowPerSubnet) {
   test::Fig3Topology f;
   sim::Network net(f.topo);
-  const VantageObservations obs =
-      run_campaign(net, f.vantage, "V", {f.pivot4}, {});
+  const VantageObservations obs = runtime::run_campaign(
+      net, f.vantage, "V", {f.pivot4}, test::serial_runtime());
   const std::string csv = subnets_csv(obs);
   // Header + one line per subnet.
   EXPECT_EQ(static_cast<std::size_t>(
@@ -28,8 +29,8 @@ TEST(Report, SubnetsCsvHasOneRowPerSubnet) {
 TEST(Report, ClassificationCsvMarksCauses) {
   const topo::ReferenceTopology ref = topo::internet2_like(42);
   sim::Network net(ref.topo);
-  const VantageObservations obs =
-      run_campaign(net, ref.vantage, "V", ref.targets, {});
+  const VantageObservations obs = runtime::run_campaign(
+      net, ref.vantage, "V", ref.targets, test::serial_runtime());
   probe::SimProbeEngine audit_wire(net, ref.vantage);
   probe::RetryingProbeEngine audit(audit_wire, 2);
   const Classification cls = classify(ref.registry, obs.subnets, audit);
@@ -47,8 +48,8 @@ TEST(Report, ClassificationCsvMarksCauses) {
 TEST(Report, DistributionMatchesBenchRendering) {
   const topo::ReferenceTopology ref = topo::internet2_like(42);
   sim::Network net(ref.topo);
-  const VantageObservations obs =
-      run_campaign(net, ref.vantage, "V", ref.targets, {});
+  const VantageObservations obs = runtime::run_campaign(
+      net, ref.vantage, "V", ref.targets, test::serial_runtime());
   probe::SimProbeEngine audit_wire(net, ref.vantage);
   probe::RetryingProbeEngine audit(audit_wire, 2);
   const Classification cls = classify(ref.registry, obs.subnets, audit);

@@ -8,6 +8,8 @@
 #include "eval/similarity.h"
 #include "probe/retry.h"
 #include "probe/sim_engine.h"
+#include "runtime/campaign.h"
+#include "testutil.h"
 #include "topo/reference.h"
 
 namespace tn {
@@ -15,8 +17,8 @@ namespace {
 
 eval::Classification run_reference(const topo::ReferenceTopology& ref) {
   sim::Network net(ref.topo);
-  const eval::VantageObservations obs =
-      eval::run_campaign(net, ref.vantage, "utdallas", ref.targets, {});
+  const eval::VantageObservations obs = runtime::run_campaign(
+      net, ref.vantage, "utdallas", ref.targets, test::serial_runtime());
   probe::SimProbeEngine audit_wire(net, ref.vantage);
   probe::RetryingProbeEngine audit(audit_wire, 2);
   return eval::classify(ref.registry, obs.subnets, audit);

@@ -16,6 +16,7 @@
 #include "sim/faults.h"
 #include "sim/network.h"
 #include "sim/vtime/scheduler.h"
+#include "testutil.h"
 #include "topo/reference.h"
 #include "trace/journal.h"
 
@@ -62,7 +63,7 @@ std::string run_window1(const topo::ReferenceTopology& ref, bool lossy) {
   sim::Network net(ref.topo);
   if (lossy) net.set_faults(sim::FaultSpec::uniform_loss(0.2, 7));
   return eval::subnets_csv(
-      eval::run_campaign(net, ref.vantage, "utdallas", ref.targets, {}));
+      test::reference_campaign(net, ref.vantage, "utdallas", ref.targets));
 }
 
 TEST(AdaptiveCampaign, ByteIdenticalAcrossSchedulesAndClocksCleanAndLossy) {
@@ -93,15 +94,15 @@ TEST(AdaptiveCampaign, ByteIdenticalAcrossSchedulesAndClocksCleanAndLossy) {
 }
 
 TEST(AdaptiveCampaign, EvalSerialPathMatchesRuntime) {
-  // The single-session eval path (no runtime workers) wires the controller
+  // The serial reference loop (one session, no runtime) wires the controller
   // too; its collected subnets must match the runtime's byte for byte.
   const topo::ReferenceTopology ref = topo::internet2_like(42);
   sim::Network net(ref.topo);
   net.set_faults(sim::FaultSpec::uniform_loss(0.2, 7));
   eval::CampaignConfig config;
   config.session.adaptive.enabled = true;
-  const std::string csv = eval::subnets_csv(
-      eval::run_campaign(net, ref.vantage, "utdallas", ref.targets, config));
+  const std::string csv = eval::subnets_csv(test::reference_campaign(
+      net, ref.vantage, "utdallas", ref.targets, config));
   EXPECT_EQ(csv, run_adaptive(ref, /*lossy=*/true, 1, false).csv);
 }
 

@@ -41,15 +41,16 @@ TEST(BatchProbing, SubnetsCsvByteIdenticalToSerialOnReferences) {
         geant ? topo::geant_like(43) : topo::internet2_like(42);
 
     sim::Network serial_net(ref.topo);
-    const eval::VantageObservations serial = eval::run_campaign(
-        serial_net, ref.vantage, "utdallas", ref.targets, {});
+    const eval::VantageObservations serial = test::reference_campaign(
+        serial_net, ref.vantage, "utdallas", ref.targets);
 
     for (const int window : {4, 16, 64}) {
       sim::Network net(ref.topo);
       eval::CampaignConfig config;
       config.session.probe_window = window;
-      const eval::VantageObservations batched = eval::run_campaign(
-          net, ref.vantage, "utdallas", ref.targets, config);
+      const eval::VantageObservations batched = run_campaign(
+          net, ref.vantage, "utdallas", ref.targets,
+          test::serial_runtime(config));
       expect_identical_csv(serial, batched);
     }
   }
@@ -61,15 +62,15 @@ TEST(BatchProbing, WindowedParallelRuntimeMatchesSerialOnReferences) {
         geant ? topo::geant_like(43) : topo::internet2_like(42);
 
     sim::Network serial_net(ref.topo);
-    const eval::VantageObservations serial = eval::run_campaign(
-        serial_net, ref.vantage, "utdallas", ref.targets, {});
+    const eval::VantageObservations serial = test::reference_campaign(
+        serial_net, ref.vantage, "utdallas", ref.targets);
 
     sim::Network net(ref.topo);
     RuntimeConfig config;
     config.jobs = 4;
     config.campaign.session.probe_window = 16;
     MetricsRegistry registry;
-    const eval::VantageObservations batched = run_campaign_parallel(
+    const eval::VantageObservations batched = run_campaign(
         net, ref.vantage, "utdallas", ref.targets, config, &registry);
     expect_identical_csv(serial, batched);
     // The wave instruments saw real batches.
@@ -122,16 +123,17 @@ TEST(BatchProbing, LossySubnetsCsvByteIdenticalToSerialLossyRun) {
 
     sim::Network serial_net(ref.topo);
     serial_net.set_faults(spec);
-    const eval::VantageObservations serial = eval::run_campaign(
-        serial_net, ref.vantage, "utdallas", ref.targets, {});
+    const eval::VantageObservations serial = test::reference_campaign(
+        serial_net, ref.vantage, "utdallas", ref.targets);
 
     for (const int window : {4, 32}) {
       sim::Network net(ref.topo);
       net.set_faults(spec);
       eval::CampaignConfig config;
       config.session.probe_window = window;
-      const eval::VantageObservations batched = eval::run_campaign(
-          net, ref.vantage, "utdallas", ref.targets, config);
+      const eval::VantageObservations batched = run_campaign(
+          net, ref.vantage, "utdallas", ref.targets,
+          test::serial_runtime(config));
       expect_identical_csv(serial, batched);
     }
   }

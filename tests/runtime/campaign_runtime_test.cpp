@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/report.h"
+#include "sim/faults.h"
 #include "testutil.h"
 #include "topo/isp.h"
 #include "topo/reference.h"
@@ -60,14 +61,14 @@ TEST(CampaignRuntime, MatchesSerialCampaignOnFig3) {
                                               ip("10.0.4.2")};
   sim::Network serial_net(f.topo);
   const eval::VantageObservations serial =
-      eval::run_campaign(serial_net, f.vantage, "V", targets, {});
+      test::reference_campaign(serial_net, f.vantage, "V", targets);
 
   for (const int jobs : {1, 2, 4}) {
     sim::Network net(f.topo);
     RuntimeConfig config;
     config.jobs = jobs;
     const eval::VantageObservations parallel =
-        run_campaign_parallel(net, f.vantage, "V", targets, config);
+        run_campaign(net, f.vantage, "V", targets, config);
     expect_identical_observations(serial, parallel);
   }
 }
@@ -106,15 +107,79 @@ TEST(CampaignRuntime, ByteIdenticalToSerialOnReferenceTopologies) {
     const topo::ReferenceTopology ref =
         geant ? topo::geant_like(43) : topo::internet2_like(42);
     sim::Network serial_net(ref.topo);
-    const eval::VantageObservations serial =
-        eval::run_campaign(serial_net, ref.vantage, "utdallas", ref.targets, {});
+    const eval::VantageObservations serial = test::reference_campaign(
+        serial_net, ref.vantage, "utdallas", ref.targets);
 
     sim::Network parallel_net(ref.topo);
     RuntimeConfig config;
     config.jobs = 4;
-    const eval::VantageObservations parallel = run_campaign_parallel(
+    const eval::VantageObservations parallel = run_campaign(
         parallel_net, ref.vantage, "utdallas", ref.targets, config);
     expect_identical_observations(serial, parallel);
+  }
+}
+
+// The premise of the single campaign driver: at one worker without the
+// campaign-wide reply cache, the runtime is the serial loop probe for probe,
+// on the references clean and at 20% loss, and on the seed-7 internet with
+// its rate-limit plan, the three vantages run in turn on one network as the
+// paper benches run them.
+TEST(CampaignRuntime, JobsOneWithoutSharedCacheIsTheSerialLoop) {
+  const auto expect_same = [](const eval::VantageObservations& serial,
+                              const eval::VantageObservations& runtime) {
+    EXPECT_FALSE(runtime.subnets.empty());
+    expect_identical_observations(serial, runtime);
+    EXPECT_EQ(serial.wire_probes, runtime.wire_probes);
+  };
+
+  for (const bool geant : {false, true}) {
+    const topo::ReferenceTopology ref =
+        geant ? topo::geant_like(43) : topo::internet2_like(42);
+    for (const double loss : {0.0, 0.2}) {
+      SCOPED_TRACE(ref.name + " loss=" + std::to_string(loss));
+      sim::Network serial_net(ref.topo);
+      sim::Network runtime_net(ref.topo);
+      if (loss > 0.0) {
+        serial_net.set_faults(sim::FaultSpec::uniform_loss(loss, 7));
+        runtime_net.set_faults(sim::FaultSpec::uniform_loss(loss, 7));
+      }
+      expect_same(test::reference_campaign(serial_net, ref.vantage, "utdallas",
+                                           ref.targets),
+                  run_campaign(runtime_net, ref.vantage, "utdallas",
+                               ref.targets, test::serial_runtime()));
+    }
+  }
+
+  const topo::SimulatedInternet internet =
+      topo::build_internet(topo::default_isp_profiles(), 7);
+  const auto targets = internet.all_targets();
+  for (const net::ProbeProtocol protocol :
+       {net::ProbeProtocol::kIcmp, net::ProbeProtocol::kUdp,
+        net::ProbeProtocol::kTcp}) {
+    sim::Network serial_net(internet.topo);
+    sim::Network runtime_net(internet.topo);
+    topo::install_rate_limit_plan(serial_net, internet.rate_limit_plan);
+    topo::install_rate_limit_plan(runtime_net, internet.rate_limit_plan);
+    for (std::size_t v = 0; v < internet.vantages.size(); ++v) {
+      SCOPED_TRACE(internet.vantage_names[v] + " " +
+                   std::string(net::to_string(protocol)));
+      eval::CampaignConfig config;
+      config.session.protocol = protocol;
+      config.session.flow_id = static_cast<std::uint16_t>(v + 1);
+      expect_same(
+          test::reference_campaign(serial_net, internet.vantages[v],
+                                   internet.vantage_names[v], targets, config),
+          run_campaign(runtime_net, internet.vantages[v],
+                       internet.vantage_names[v], targets,
+                       test::serial_runtime(config)));
+    }
+    // The loop and the runtime met the same limiters. Few routers answer
+    // TCP, so only the ICMP and UDP campaigns run into them.
+    if (protocol != net::ProbeProtocol::kTcp) {
+      EXPECT_GT(runtime_net.stats().rate_limited, 0u);
+    }
+    EXPECT_EQ(serial_net.stats().rate_limited,
+              runtime_net.stats().rate_limited);
   }
 }
 
@@ -193,14 +258,14 @@ TEST(CampaignRuntime, PacingDoesNotChangeResults) {
   RuntimeConfig plain;
   plain.jobs = 2;
   const eval::VantageObservations unpaced =
-      run_campaign_parallel(plain_net, f.vantage, "V", targets, plain);
+      run_campaign(plain_net, f.vantage, "V", targets, plain);
 
   sim::Network paced_net(f.topo);
   RuntimeConfig throttled;
   throttled.jobs = 2;
   throttled.pps = 50'000.0;  // fast enough for tests, still exercises tokens
   MetricsRegistry registry;
-  const eval::VantageObservations paced = run_campaign_parallel(
+  const eval::VantageObservations paced = run_campaign(
       paced_net, f.vantage, "V", targets, throttled, &registry);
 
   expect_identical_observations(unpaced, paced);
@@ -232,7 +297,7 @@ TEST(CampaignRuntime, EmptyTargetListIsANoop) {
   RuntimeConfig config;
   config.jobs = 4;
   const eval::VantageObservations obs =
-      run_campaign_parallel(net, f.vantage, "V", {}, config);
+      run_campaign(net, f.vantage, "V", {}, config);
   EXPECT_TRUE(obs.subnets.empty());
   EXPECT_EQ(obs.targets_total, 0u);
 }

@@ -8,12 +8,24 @@
 // and a far fringe (interface of R4 on a LAN the ingress router is not on).
 //
 // test::edit derives a variant of any frozen topology.
+//
+// test::reference_campaign is the serial campaign loop the campaign runtime
+// is checked against, and test::serial_runtime the runtime configuration
+// that must reproduce it.
 #pragma once
 
+#include <string>
+#include <vector>
+
+#include "core/session.h"
+#include "eval/campaign.h"
 #include "net/ipv4.h"
 #include "net/prefix.h"
+#include "probe/sim_engine.h"
+#include "runtime/campaign.h"
 #include "sim/network.h"
 #include "sim/topology.h"
+#include "sim/vtime/scheduler.h"
 
 namespace tn::test {
 
@@ -37,6 +49,42 @@ void edit(sim::Topology& topo, Change change) {
   sim::TopologyBuilder builder(std::move(topo));
   change(builder);
   topo = std::move(builder).build();
+}
+
+// The serial campaign loop: one TracenetSession over the bare simulator,
+// sleeping on the network's scheduler if it has one, each target stamped
+// with its churn epoch and skipped when a merged subnet covers it.
+inline eval::VantageObservations reference_campaign(
+    sim::Network& network, sim::NodeId vantage, const std::string& name,
+    const std::vector<net::Ipv4Addr>& targets,
+    const eval::CampaignConfig& config = {}) {
+  probe::SimProbeEngine wire(network, vantage);
+  core::SessionConfig session_config = config.session;
+  if (session_config.clock == nullptr)
+    session_config.clock = network.scheduler();
+  core::TracenetSession session(wire, session_config);
+  eval::CampaignAccumulator acc(name, targets.size());
+  for (std::size_t index = 0; index < targets.size(); ++index) {
+    session.set_epoch(network.faults().epoch_of(index));
+    if (config.skip_covered_targets && acc.covered(targets[index])) {
+      acc.note_covered();
+      continue;
+    }
+    acc.add(session.run(targets[index]));
+  }
+  eval::VantageObservations out = acc.finalize();
+  out.wire_probes = wire.probes_issued();
+  return out;
+}
+
+// The serial campaign as the paper benches and the examples run it: one
+// worker, without the campaign-wide reply cache.
+inline runtime::RuntimeConfig serial_runtime(
+    eval::CampaignConfig campaign = {}) {
+  runtime::RuntimeConfig config;
+  config.campaign = std::move(campaign);
+  config.share_probe_cache = false;
+  return config;
 }
 
 // Hop distances from vantage V: G=1, R1=2, R2=3 (ingress of S), members of S

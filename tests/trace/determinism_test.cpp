@@ -249,8 +249,7 @@ TEST(TraceDeterminism, DisabledTracingChangesNothing) {
     runtime::RuntimeConfig config;
     config.jobs = 2;
     config.trace_sink = sink;
-    return runtime::run_campaign_parallel(net, f.vantage, "V", targets,
-                                          config);
+    return runtime::run_campaign(net, f.vantage, "V", targets, config);
   };
 
   const eval::VantageObservations plain = run(nullptr);

@@ -55,7 +55,6 @@ struct Aggregates {
   std::size_t cache_hits = 0;
   std::size_t waves = 0;
   std::size_t retries = 0;
-  std::size_t retry_stops = 0;
   std::map<std::string, std::size_t> stop_reasons;
   std::map<std::string, std::size_t> fired;
 };
@@ -116,9 +115,6 @@ void print_event(const trace::JournalEvent& e) {
     std::printf("  session: %lld subnets over %lld hops\n",
                 static_cast<long long>(number(e, "subnets")),
                 static_cast<long long>(number(e, "hops")));
-  } else if (e.type == "retry_stop") {
-    std::printf("    retry budget exhausted for %s\n",
-                field(e, "dst").c_str());
   } else if (e.type == "span") {
     const auto us = e.num("us");
     if (us)
@@ -138,8 +134,7 @@ bool prints(const trace::JournalEvent& e) {
   if (e.type == "span") return e.num("us").has_value();
   for (const char* type :
        {"session", "hop", "trace_done", "hop_skip", "position", "explore",
-        "heur", "level", "h9", "subnet", "session_done", "retry_stop",
-        "campaign_done"})
+        "heur", "level", "h9", "subnet", "session_done", "campaign_done"})
     if (e.type == type) return true;
   return false;
 }
@@ -245,7 +240,6 @@ int main(int argc, char** argv) {
       if (e.boolean("cached").value_or(false)) ++agg.cache_hits;
     } else if (e.type == "wave") ++agg.waves;
     else if (e.type == "retry") ++agg.retries;
-    else if (e.type == "retry_stop") ++agg.retry_stops;
     if (const auto vt = e.num("vt")) {
       if (!vt_first || *vt < *vt_first) vt_first = *vt;
       if (!vt_last || *vt > *vt_last) vt_last = *vt;
@@ -274,9 +268,8 @@ int main(int argc, char** argv) {
     if (code != "none") std::printf("  fired %-14s %zu\n", code.c_str(), count);
   if (agg.probes > 0)
     std::printf("probe level: %zu probes (%zu cached), %zu waves, %zu "
-                "retries, %zu budget stops\n",
-                agg.probes, agg.cache_hits, agg.waves, agg.retries,
-                agg.retry_stops);
+                "retries\n",
+                agg.probes, agg.cache_hits, agg.waves, agg.retries);
   if (vt_first)
     std::printf("virtual time: %lld..%lld us (%lld us simulated)\n",
                 static_cast<long long>(*vt_first),

@@ -15,6 +15,7 @@
 //   --max-ttl N         trace depth (default 32)
 //   --retries N         re-probes on silence (default 1)
 //   --multipath         enumerate ECMP diamonds and explore every branch
+//                       (not with --retries, --window, --dot or --trace-out)
 //   --jobs N            concurrent campaign runtime with N workers
 //                       (simulated single-path mode; campaign semantics:
 //                       targets covered by an observed subnet are skipped)
@@ -61,6 +62,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -280,8 +282,13 @@ int main(int argc, char** argv) {
     return usage("--trace-times needs --trace-out");
   if (args.flag("trace-vtime") && (!trace_out || !virtual_time))
     return usage("--trace-vtime needs --trace-out and --virtual-time");
-  if (trace_out && args.flag("multipath"))
-    return usage("--trace-out is not supported with --multipath");
+  // The multipath session keeps its own retry count and one-probe waves,
+  // and records neither a journal nor the sessions a router map needs.
+  if (args.flag("multipath"))
+    for (const char* option : {"trace-out", "retries", "window", "dot"})
+      if (args.option(option))
+        return usage(("--" + std::string(option) +
+                      " is not supported with --multipath").c_str());
   const std::string metrics_format = args.option_or("metrics", "");
   if (!metrics_format.empty() && metrics_format != "text" &&
       metrics_format != "json")
