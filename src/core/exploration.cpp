@@ -45,22 +45,9 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
   if (rec != nullptr)
     rec->event("explore").addr("pivot", ctx.pivot).num("jh", ctx.jh);
 
-  // Graceful degradation on lossy networks: stop growing (keeping what was
-  // collected) once this exploration has spent its wire-probe budget.
-  const auto budget_spent = [&] {
-    return config_.probe_budget != 0 &&
-           prober_.engine.probes_issued() - probes_before >=
-               config_.probe_budget;
-  };
-  bool out_of_budget = false;
-
   // Algorithm 1's outer loop: temporary subnets /31, /30, ... around the
   // pivot.
   for (int m = 31; m >= config_.min_prefix_length; --m) {
-    if (budget_spent()) {
-      stop = StopReason::kProbeBudget;
-      break;
-    }
     const net::Prefix level = net::Prefix::covering(ctx.pivot, m);
     // Level m + 1 either completed, examining all of its addresses, or ended
     // the exploration. So the level's unexamined candidates are its half
@@ -86,12 +73,6 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
 
     for (std::uint64_t index = 0; index < fresh.size(); ++index) {
       const net::Ipv4Addr candidate = fresh.at(index);
-      if (budget_spent()) {
-        stop = StopReason::kProbeBudget;
-        out_of_budget = true;
-        break;
-      }
-
       const Verdict verdict = test_candidate(candidate, ctx);
       if (rec != nullptr) {
         trace::Event event = rec->event("heur");
@@ -118,7 +99,7 @@ ObservedSubnet SubnetExplorer::explore(const Position& position) {
         break;
       }
     }
-    if (shrunk || out_of_budget) break;
+    if (shrunk) break;
 
     if (rec != nullptr)
       rec->event("level").num("m", m).num(

@@ -46,12 +46,6 @@ struct ExplorerConfig {
   bool h6_enabled = true;
   // H8 on: close-fringe detection. Ablation knob.
   bool h8_enabled = true;
-  // Wire-probe ceiling for one exploration (0 = unlimited). On a lossy or
-  // rate-limited network retries can multiply the probe cost of a level;
-  // when the ceiling is hit, growth stops gracefully — whatever was
-  // collected so far is reported with StopReason::kProbeBudget instead of
-  // probing further. The pivot is always retained.
-  std::uint64_t probe_budget = 0;
 };
 
 class SubnetExplorer {

@@ -27,22 +27,21 @@ MultipathResult MultipathDiscovery::run(net::Ipv4Addr destination) {
   result.destination = destination;
 
   int anonymous_run = 0;
-  for (int ttl = 1; ttl <= config_.max_ttl; ++ttl) {
+  for (int ttl = 1; ttl <= max_ttl_; ++ttl) {
     MultipathHop hop;
     hop.ttl = ttl;
     std::set<net::Ipv4Addr> seen;
     bool all_flows_delivered = true;
+    net::Probe probe = prober_.make(destination, ttl);
     for (int flow = 0; flow < kFlowsPerHop; ++flow) {
-      const net::ProbeReply reply = engine_.indirect(
-          destination, static_cast<std::uint8_t>(ttl), config_.protocol,
-          static_cast<std::uint16_t>(flow + 1), config_.epoch);
+      probe.flow_id = static_cast<std::uint16_t>(flow + 1);
+      const net::ProbeReply reply = prober_.engine.probe(probe);
       if (reply.is_none()) {
         all_flows_delivered = false;
         continue;
       }
       const bool delivered =
-          net::is_alive_reply(config_.protocol, reply.type) ||
-          reply.responder == destination;
+          prober_.alive(reply) || reply.responder == destination;
       if (delivered) hop.destination_among_them = true;
       else all_flows_delivered = false;
       if (seen.insert(reply.responder).second)
@@ -60,7 +59,7 @@ MultipathResult MultipathDiscovery::run(net::Ipv4Addr destination) {
       result.destination_reached = true;
     }
     if (hop.responders.empty()) {
-      if (++anonymous_run >= config_.anonymous_gap_limit) break;
+      if (++anonymous_run >= kAnonymousGapLimit) break;
     } else {
       anonymous_run = 0;
     }
@@ -80,15 +79,16 @@ MultipathSessionResult MultipathTracenetSession::run(
   probe::RetryingProbeEngine retry(wire_engine_, 2);
   probe::CachingProbeEngine cached(retry);
 
-  MultipathSessionResult result;
-  MultipathDiscovery discovery(cached, config_);
-  result.paths = discovery.run(destination);
-
   // One flow for positioning and exploration, as in a single-path session;
   // only discovery varies it.
   Prober prober(cached);
   prober.protocol = config_.protocol;
-  prober.epoch = config_.epoch;
+  prober.epoch = epoch_;
+
+  MultipathSessionResult result;
+  MultipathDiscovery discovery(prober, config_.max_ttl);
+  result.paths = discovery.run(destination);
+
   SubnetPositioner positioner(prober);
   SubnetExplorer explorer(prober);
 

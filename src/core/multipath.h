@@ -16,6 +16,8 @@
 
 #include "core/exploration.h"
 #include "core/positioning.h"
+#include "core/prober.h"
+#include "core/traceroute.h"
 #include "core/types.h"
 #include "probe/engine.h"
 
@@ -28,12 +30,6 @@ inline constexpr int kFlowsPerHop = 16;
 struct MultipathConfig {
   net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
   int max_ttl = 32;
-  int anonymous_gap_limit = 4;
-  // Routing epoch stamped on every probe (net::Probe::epoch), as
-  // SessionConfig::epoch: under a routing-churn fault spec (sim/faults.h)
-  // the campaign driver sets it per target from
-  // FaultSpec::epoch_of(target_index); 0 otherwise.
-  std::uint8_t epoch = 0;
 };
 
 struct MultipathHop {
@@ -56,14 +52,18 @@ struct MultipathResult {
 
 class MultipathDiscovery {
  public:
-  MultipathDiscovery(probe::ProbeEngine& engine, MultipathConfig config = {}) noexcept
-      : engine_(engine), config_(config) {}
+  // Every probe carries `prober`'s protocol and routing epoch; the flow id
+  // is the one thing discovery varies.
+  MultipathDiscovery(Prober prober, int max_ttl = 32) noexcept
+      : prober_(prober), max_ttl_(max_ttl) {}
 
+  // Sweeps the flows at every TTL until the destination answers on every
+  // flow, kAnonymousGapLimit hops in a row stay silent, or max_ttl.
   MultipathResult run(net::Ipv4Addr destination);
 
  private:
-  probe::ProbeEngine& engine_;
-  MultipathConfig config_;
+  Prober prober_;
+  int max_ttl_;
 };
 
 // One session = multipath enumeration + subnet exploration around every
@@ -81,13 +81,14 @@ class MultipathTracenetSession {
 
   MultipathSessionResult run(net::Ipv4Addr destination);
 
-  // Routing epoch for subsequent runs (routing churn, sim/faults.h), as
-  // TracenetSession::set_epoch.
-  void set_epoch(std::uint8_t epoch) noexcept { config_.epoch = epoch; }
+  // Routing epoch stamped on every probe of subsequent runs (routing churn,
+  // sim/faults.h), as TracenetSession::set_epoch.
+  void set_epoch(std::uint8_t epoch) noexcept { epoch_ = epoch; }
 
  private:
   probe::ProbeEngine& wire_engine_;
   MultipathConfig config_;
+  std::uint8_t epoch_ = 0;
 };
 
 }  // namespace tn::core

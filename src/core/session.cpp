@@ -18,12 +18,11 @@ TracenetSession::TracenetSession(probe::ProbeEngine& wire_engine,
                  : nullptr),
       controller_(config_.adaptive.enabled
                       ? std::make_unique<probe::AdaptiveController>(
-                            config_.adaptive, &wire_engine_, config_.clock)
+                            &wire_engine_, config_.clock)
                       : nullptr),
       prober_(cache_ ? static_cast<probe::ProbeEngine&>(*cache_) : *retry_) {
   prober_.protocol = config_.protocol;
   prober_.flow_id = config_.flow_id;
-  prober_.epoch = config_.epoch;
   prober_.window = config_.probe_window;
   prober_.controller = controller_.get();
 }

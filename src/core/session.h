@@ -32,10 +32,6 @@ struct SessionConfig {
   // The identity every probe of the session carries (core::Prober).
   net::ProbeProtocol protocol = net::ProbeProtocol::kIcmp;
   std::uint16_t flow_id = 0;
-  // Routing epoch stamped on every probe of the session (net::Probe::epoch).
-  // Campaigns running under a churn fault spec set this per target from
-  // FaultSpec::epoch_of(target_index), through set_epoch; 0 otherwise.
-  std::uint8_t epoch = 0;
   TracerouteConfig trace;
   ExplorerConfig explore;
   int retry_attempts = 2;          // total tries per probe (§3.8 re-probe)
@@ -96,9 +92,10 @@ class TracenetSession {
     retry_->set_recorder(recorder);
   }
 
-  // Routing epoch for subsequent runs (routing churn, sim/faults.h). Session
-  // objects are reused across targets, so the campaign sets this per run,
-  // like set_recorder.
+  // Routing epoch stamped on every probe of subsequent runs
+  // (net::Probe::epoch; routing churn, sim/faults.h), 0 until set. Session
+  // objects are reused across targets, so campaigns under a churn fault spec
+  // set it per run from FaultSpec::epoch_of(target_index), like set_recorder.
   void set_epoch(std::uint8_t epoch) noexcept { prober_.epoch = epoch; }
 
  private:

@@ -57,7 +57,7 @@ TracePath Traceroute::run(net::Ipv4Addr destination) {
     }
 
     if (reply.is_none()) {
-      if (++anonymous_run >= config_.anonymous_gap_limit) {
+      if (++anonymous_run >= kAnonymousGapLimit) {
         util::log(util::LogLevel::kDebug, "traceroute",
                   "abandoning trace to ", destination, " after ",
                   anonymous_run, " anonymous hops");

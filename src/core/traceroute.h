@@ -22,11 +22,12 @@
 
 namespace tn::core {
 
+// Trace collection gives up after this many consecutive anonymous hops
+// (firewalled tail or unreachable destination); multipath discovery too.
+inline constexpr int kAnonymousGapLimit = 4;
+
 struct TracerouteConfig {
   int max_ttl = 32;
-  // Give up after this many consecutive anonymous hops (firewalled tail or
-  // unreachable destination).
-  int anonymous_gap_limit = 4;
 };
 
 class Traceroute {

@@ -9,7 +9,6 @@ std::string_view to_string(StopReason reason) noexcept {
     case StopReason::kShrink: return "shrink";
     case StopReason::kUnderUtilized: return "under-utilized";
     case StopReason::kPrefixFloor: return "prefix-floor";
-    case StopReason::kProbeBudget: return "probe-budget";
   }
   return "?";
 }

@@ -23,7 +23,6 @@ enum class StopReason : std::uint8_t {
   kShrink,         // a heuristic failed -> shrunk to last valid state (H1)
   kUnderUtilized,  // |S| <= half the level's size (Alg. 1 lines 19-21)
   kPrefixFloor,    // reached the configured minimum prefix length
-  kProbeBudget,    // exploration hit its wire-probe budget (lossy networks)
 };
 
 // The stop reason's name, e.g. "under-utilized": a static literal.

@@ -14,12 +14,11 @@
 
 namespace tn::eval {
 
+// A campaign skips every target already inside a previously observed subnet
+// (the cost-effectiveness §3.6 argues for, and Doubletree's stop set; it also
+// keeps /20-sized LANs from being re-explored per member target).
 struct CampaignConfig {
   core::SessionConfig session;
-  // Skip a target already covered by a previously observed subnet (the
-  // cost-effectiveness §3.6 argues for; also keeps /20-sized LANs from being
-  // re-explored per member target).
-  bool skip_covered_targets = true;
 };
 
 // Everything one vantage point learned.

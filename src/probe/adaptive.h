@@ -19,7 +19,7 @@
 //
 // Every wave of a session goes out through core::Prober::send, which reads
 // the window before each chunk, paces it and observes its replies. Only the
-// switch and the window bounds are settable (AdaptivePolicy); the thresholds
+// switch is settable (AdaptivePolicy); the window bounds and the thresholds
 // are the named constants below.
 //
 // Determinism contract (docs/PROBING.md): every input is schedule-invariant.
@@ -51,16 +51,17 @@ struct AdaptivePolicy {
   // Master switch: SessionConfig copies this struct, so `enabled` is what
   // "--window auto" toggles.
   bool enabled = false;
-
-  // In-flight window bounds. The controller starts every session at
-  // initial_window and doubles/halves within [min_window, max_window].
-  int initial_window = 8;
-  int min_window = 1;
-  int max_window = 64;
 };
 
-// The feedback loop's thresholds (docs/PROBING.md "Adaptive policy").
+// The feedback loop's window bounds and thresholds (docs/PROBING.md
+// "Adaptive policy").
 //
+// The controller starts every session at kInitialWindow and doubles/halves
+// the in-flight window within [kMinWindow, kMaxWindow].
+inline constexpr int kInitialWindow = 8;
+inline constexpr int kMinWindow = 1;
+inline constexpr int kMaxWindow = 64;
+
 // Grow the window when a wave fills at least kGrowOccupancy of it AND at
 // most kGrowHitRate of the wave resolved from cache — the session is
 // genuinely RTT-bound, so more overlap buys wall time at no wire cost.
@@ -91,33 +92,22 @@ class AdaptiveController {
   // from fresh probes — the per-worker wire scope (nullptr for pure decision
   // tests, which call observe() directly). `clock` is the pacing clock: wall
   // by default, the virtual-time scheduler under --virtual-time.
-  explicit AdaptiveController(AdaptivePolicy policy,
-                              ProbeEngine* local_engine = nullptr,
+  explicit AdaptiveController(ProbeEngine* local_engine = nullptr,
                               util::Clock* clock = nullptr) noexcept
-      : policy_(policy),
-        local_engine_(local_engine),
-        clock_(clock != nullptr ? clock : &util::WallClock::instance()) {
-    if (policy_.min_window < 1) policy_.min_window = 1;
-    if (policy_.max_window < policy_.min_window)
-      policy_.max_window = policy_.min_window;
-    policy_.initial_window = std::clamp(policy_.initial_window,
-                                        policy_.min_window,
-                                        policy_.max_window);
-    reset();
-  }
+      : local_engine_(local_engine),
+        clock_(clock != nullptr ? clock : &util::WallClock::instance()) {}
 
   // Back to the initial state. MUST be called at the start of every session
   // run: carrying window/pause/liveness state across targets would make
   // decisions depend on which targets a worker happened to claim earlier.
   void reset() {
-    window_ = policy_.initial_window;
+    window_ = kInitialWindow;
     pause_us_ = 0;
     pace_adjustments_ = 0;
     window_resizes_ = 0;
     alive_addrs_.clear();
   }
 
-  const AdaptivePolicy& policy() const noexcept { return policy_; }
   int window() const noexcept { return window_; }
   std::uint64_t pause_us() const noexcept { return pause_us_; }
 
@@ -193,9 +183,9 @@ class AdaptiveController {
         static_cast<double>(sent) / static_cast<double>(window_);
     int resized = window_;
     if (hit_rate >= kShrinkHitRate) {
-      resized = std::max(policy_.min_window, window_ / 2);
+      resized = std::max(kMinWindow, window_ / 2);
     } else if (occupancy >= kGrowOccupancy && hit_rate <= kGrowHitRate) {
-      resized = std::min(policy_.max_window, window_ * 2);
+      resized = std::min(kMaxWindow, window_ * 2);
     }
     if (resized != window_) {
       window_ = resized;
@@ -204,11 +194,10 @@ class AdaptiveController {
   }
 
  private:
-  AdaptivePolicy policy_;
   ProbeEngine* local_engine_ = nullptr;
   util::Clock* clock_ = nullptr;
 
-  int window_ = 1;
+  int window_ = kInitialWindow;
   std::uint64_t pause_us_ = 0;
   std::uint64_t pace_adjustments_ = 0;
   std::uint64_t window_resizes_ = 0;

@@ -66,7 +66,7 @@ struct RuntimeConfig {
   // dropped, so the merged journal covers exactly the sessions a serial run
   // would have produced and its session-level bytes are jobs/window
   // invariant. nullptr (the default) disables tracing entirely.
-  trace::EventSink* trace_sink = nullptr;
+  trace::JsonlTraceWriter* trace_sink = nullptr;
 };
 
 struct CampaignReport {

@@ -10,7 +10,7 @@
 //
 // acquire() blocks the calling worker until a token is available; refills
 // accrue continuously so the long-run rate converges to `pps` with bursts of
-// up to `burst` back-to-back probes after idle periods.
+// up to kPacerBurst back-to-back probes after idle periods.
 //
 // Time comes from a util::Clock (util/clock.h): wall by default, so the
 // RawSocketProbeEngine path is untouched, or the virtual-time scheduler
@@ -31,8 +31,8 @@
 
 namespace tn::runtime {
 
-// Back-to-back probes a pacer admits after an idle period, unless told
-// otherwise; the campaign runtime's pacer always uses it.
+// Back-to-back probes a pacer admits after an idle period: the bucket's
+// capacity, and its fill when the pacer starts.
 inline constexpr double kPacerBurst = 8.0;
 
 class ProbePacer {
@@ -40,14 +40,11 @@ class ProbePacer {
   // A default-constructed pacer admits everything immediately.
   ProbePacer() = default;
 
-  // Sustained `pps` probes per second, bursts up to `burst`, timed by
+  // Sustained `pps` probes per second, bursts up to kPacerBurst, timed by
   // `clock` (nullptr = the shared wall clock).
-  explicit ProbePacer(double pps, double burst = kPacerBurst,
-                      util::Clock* clock = nullptr) noexcept
+  explicit ProbePacer(double pps, util::Clock* clock = nullptr) noexcept
       : clock_(clock != nullptr ? clock : &util::WallClock::instance()),
         rate_(pps > 0.0 ? pps : 0.0),
-        burst_(burst < 1.0 ? 1.0 : burst),
-        tokens_(burst < 1.0 ? 1.0 : burst),
         enabled_(pps > 0.0) {}
 
   bool enabled() const noexcept { return enabled_; }
@@ -69,11 +66,11 @@ class ProbePacer {
         const std::uint64_t now_us = clock_->now_us();
         if (primed_ && now_us > last_us_) {
           tokens_ += static_cast<double>(now_us - last_us_) * 1e-6 * rate_;
-          if (tokens_ > burst_) tokens_ = burst_;
+          if (tokens_ > kPacerBurst) tokens_ = kPacerBurst;
         }
         last_us_ = now_us;
         primed_ = true;
-        const double need = want < burst_ ? want : burst_;
+        const double need = want < kPacerBurst ? want : kPacerBurst;
         if (tokens_ >= need) {
           tokens_ -= want;
           return;
@@ -103,8 +100,7 @@ class ProbePacer {
   std::mutex mutex_;
   util::Clock* clock_ = &util::WallClock::instance();
   double rate_ = 0.0;
-  double burst_ = 0.0;
-  double tokens_ = 0.0;
+  double tokens_ = kPacerBurst;
   std::uint64_t last_us_ = 0;
   bool primed_ = false;
   bool enabled_ = false;

@@ -6,7 +6,8 @@
 // subnet, so our stop set holds *covered prefixes*: once any worker has
 // grown a subnet, every other worker can skip targets (and, in fast mode,
 // hops) that fall inside it instead of re-exploring — the cross-session
-// generalization of CampaignConfig::skip_covered_targets.
+// generalization of the campaign's serial skip rule
+// (eval::CampaignAccumulator::covered).
 //
 // One net::NestedPrefixIndex under one mutex: a query is a few binary
 // searches, so the workers' covers() checks hold the lock only briefly.

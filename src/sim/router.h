@@ -61,11 +61,6 @@ struct Node {
   ResponseConfig& config_for(net::ProbeProtocol protocol) noexcept {
     return response[static_cast<std::size_t>(protocol)];
   }
-
-  // Convenience: sets the same config for all three protocols.
-  void set_all_protocols(const ResponseConfig& config) noexcept {
-    response.fill(config);
-  }
 };
 
 }  // namespace tn::sim

@@ -28,8 +28,6 @@ struct Subnet {
   bool firewalled = false;
 
   ArpFailBehavior arp_fail = ArpFailBehavior::kSilent;
-
-  bool is_point_to_point() const noexcept { return prefix.length() >= 30; }
 };
 
 // An interface: one address of one node attached to one subnet.

@@ -3,9 +3,7 @@
 // Subnets are carved from a base block in address order, each aligned to its
 // own size and separated by a randomized guard gap. The gaps ensure that
 // growing one subnet's exploration window never bleeds into a neighbor by
-// accident — the paper's address plans are similarly non-contiguous — while
-// `allocate_adjacent` deliberately places a twin right next to a previous
-// allocation for the engineered overestimation case.
+// accident — the paper's address plans are similarly non-contiguous.
 #pragma once
 
 #include <optional>
@@ -37,20 +35,7 @@ class AddressPool {
     return check(prefix);
   }
 
-  // Allocates the sibling range directly after `previous` (no gap), for
-  // deliberately adjacent twins.
-  net::Prefix allocate_adjacent(const net::Prefix& previous) {
-    const std::uint64_t start =
-        static_cast<std::uint64_t>(previous.network().value()) + previous.size();
-    const net::Prefix prefix = net::Prefix::covering(
-        net::Ipv4Addr(static_cast<std::uint32_t>(start)), previous.length());
-    if (start + prefix.size() > cursor_max()) advance(start, prefix.size());
-    return check(prefix);
-  }
-
  private:
-  std::uint64_t cursor_max() const noexcept { return cursor_; }
-
   void advance(std::uint64_t start, std::uint64_t amount) {
     if (start + amount > cursor_) cursor_ = start + amount;
   }

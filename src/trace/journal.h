@@ -135,48 +135,30 @@ inline bool on(const Recorder* rec, Level level) noexcept {
   return rec != nullptr && rec->wants(level);
 }
 
-// Where recorders come from. `open` hands out a recorder for one target
-// ordinal (thread-safe; workers call it concurrently); `drop` discards a
-// buffer whose session the deterministic merge rejected.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-
-  virtual Level level() const noexcept = 0;
-
-  // Returns the recorder for `ordinal` (creating or replacing it), or
-  // nullptr when tracing is off. The pointer stays valid until the same
-  // ordinal is re-opened or dropped.
-  virtual Recorder* open(std::uint64_t ordinal, std::string_view label) = 0;
-
-  // Discards the buffer opened under `ordinal`, if any.
-  virtual void drop(std::uint64_t ordinal) = 0;
-};
-
-// Disabled tracing: open() returns nullptr, so every instrumentation point
-// reduces to the null-pointer branch in trace::on.
-class NullEventSink final : public EventSink {
- public:
-  Level level() const noexcept override { return Level::kOff; }
-  Recorder* open(std::uint64_t, std::string_view) override { return nullptr; }
-  void drop(std::uint64_t) override {}
-};
-
 // Ordinal reserved for the campaign-wide stream (span events); sorts after
 // every target so the journal ends with the campaign summary.
 inline constexpr std::uint64_t kCampaignOrdinal = ~0ULL;
 
-// Sharded JSONL writer: one buffer per target, merged by (ordinal, seq).
-class JsonlTraceWriter final : public EventSink {
+// Where recorders come from, and the journal they make: one buffer per
+// target, merged by (ordinal, seq). Disabled tracing is no writer at all
+// (a null pointer), or a writer at Level::kOff, which opens nothing.
+class JsonlTraceWriter {
  public:
   // `sim_now` threads a simulated clock into every recorder this writer
   // opens (see Recorder); nullptr records no vt timestamps.
   explicit JsonlTraceWriter(Level level, bool with_timings = false,
                             const std::atomic<std::uint64_t>* sim_now = nullptr);
 
-  Level level() const noexcept override { return level_; }
-  Recorder* open(std::uint64_t ordinal, std::string_view label) override;
-  void drop(std::uint64_t ordinal) override;
+  Level level() const noexcept { return level_; }
+
+  // Returns the recorder for `ordinal` (creating or replacing it), or
+  // nullptr when tracing is off. Thread-safe: workers call it concurrently.
+  // The pointer stays valid until the same ordinal is re-opened or dropped.
+  Recorder* open(std::uint64_t ordinal, std::string_view label);
+
+  // Discards the buffer opened under `ordinal`, if any: the session the
+  // deterministic merge rejected.
+  void drop(std::uint64_t ordinal);
 
   // The merged journal: every live buffer concatenated in ordinal order.
   std::string merged() const;

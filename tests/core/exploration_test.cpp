@@ -94,7 +94,7 @@ TEST(Exploration, ExactSlash31PointToPoint) {
 TEST(Exploration, DebugLineNamesTheStopReason) {
   for (const StopReason reason :
        {StopReason::kShrink, StopReason::kUnderUtilized,
-        StopReason::kPrefixFloor, StopReason::kProbeBudget}) {
+        StopReason::kPrefixFloor}) {
     std::ostringstream os;
     os << reason;
     EXPECT_EQ(os.str(), to_string(reason));

@@ -105,12 +105,10 @@ TEST(Multipath, AnonymousGapTerminates) {
   });
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
-  MultipathConfig config;
-  config.anonymous_gap_limit = 3;
-  MultipathDiscovery discovery(engine, config);
+  MultipathDiscovery discovery(engine);
   const MultipathResult result = discovery.run(f.pivot3);
   EXPECT_FALSE(result.destination_reached);
-  EXPECT_LE(result.hops.size(), 3u + 3u);
+  EXPECT_LE(result.hops.size(), 3u + kAnonymousGapLimit);
 }
 
 TEST(Multipath, PerPacketBalancerStillConverges) {

@@ -53,13 +53,12 @@ TEST_F(TracerouteTest, AnonymousHopShownAsGap) {
 TEST_F(TracerouteTest, AbandonsAfterAnonymousGapLimit) {
   sim::Network net(f.topo);
   probe::SimProbeEngine engine(net, f.vantage);
-  TracerouteConfig config;
-  config.anonymous_gap_limit = 3;
-  Traceroute tracer(engine, config);
+  Traceroute tracer(engine);
   // Unassigned address inside S: the trace walks to R2 then goes dark.
   const TracePath path = tracer.run(ip("192.168.1.9"));
   EXPECT_FALSE(path.destination_reached);
-  EXPECT_EQ(path.hops.size(), 3u + 3u);  // 3 real hops + 3 anonymous
+  // 3 real hops + kAnonymousGapLimit anonymous ones
+  EXPECT_EQ(path.hops.size(), 3u + kAnonymousGapLimit);
 }
 
 TEST_F(TracerouteTest, MaxTtlBoundsThePath) {

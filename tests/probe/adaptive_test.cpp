@@ -53,24 +53,8 @@ std::vector<net::ProbeReply> all_silent(std::size_t n) {
   return std::vector<net::ProbeReply>(n, net::ProbeReply::none());
 }
 
-TEST(AdaptiveController, CtorSanitizesWindowBounds) {
-  AdaptivePolicy policy;
-  policy.initial_window = 128;
-  policy.min_window = 0;
-  policy.max_window = 16;
-  AdaptiveController ctrl(policy);
-  EXPECT_EQ(ctrl.window(), 16);              // initial clamped into bounds
-  EXPECT_EQ(ctrl.policy().min_window, 1);    // min floored at 1
-
-  AdaptivePolicy inverted;
-  inverted.min_window = 8;
-  inverted.max_window = 2;  // max < min: max snaps up to min
-  AdaptiveController ctrl2(inverted);
-  EXPECT_EQ(ctrl2.policy().max_window, 8);
-}
-
 TEST(AdaptiveController, GrowsWhileWavesFillTheWindowWithFreshProbes) {
-  AdaptiveController ctrl(AdaptivePolicy{});  // initial 8, max 64
+  AdaptiveController ctrl;  // kInitialWindow 8, kMaxWindow 64
   std::vector<int> windows;
   for (int wave = 0; wave < 4; ++wave) {
     const std::size_t n = static_cast<std::size_t>(ctrl.window());
@@ -83,7 +67,7 @@ TEST(AdaptiveController, GrowsWhileWavesFillTheWindowWithFreshProbes) {
 }
 
 TEST(AdaptiveController, ShrinksWhenWavesResolveFromCache) {
-  AdaptiveController ctrl(AdaptivePolicy{});  // initial 8, min 1
+  AdaptiveController ctrl;  // kInitialWindow 8, kMinWindow 1
   std::vector<int> windows;
   for (int wave = 0; wave < 5; ++wave) {
     const std::size_t n = static_cast<std::size_t>(ctrl.window());
@@ -97,7 +81,7 @@ TEST(AdaptiveController, ShrinksWhenWavesResolveFromCache) {
 }
 
 TEST(AdaptiveController, HoldsOnPartialOrMixedWaves) {
-  AdaptiveController ctrl(AdaptivePolicy{});  // grow needs occupancy >= 0.9
+  AdaptiveController ctrl;  // grow needs occupancy >= 0.9
   // Half-full wave, all fresh: not RTT-bound evidence, hold.
   ctrl.observe(wave_of(0x0A000000, 4), all_echo(0x0A000000, 4), 4);
   EXPECT_EQ(ctrl.window(), 8);
@@ -110,7 +94,7 @@ TEST(AdaptiveController, HoldsOnPartialOrMixedWaves) {
 
 TEST(AdaptiveController, BacksOffOnlyOnSilenceFromKnownAliveAddresses) {
   util::ManualClock clock;
-  AdaptiveController ctrl(AdaptivePolicy{}, nullptr, &clock);
+  AdaptiveController ctrl(nullptr, &clock);
   const auto probes = wave_of(0x0A000000, 4);
 
   // Silence from never-seen addresses is unused space, not a drop signal.
@@ -149,7 +133,7 @@ TEST(AdaptiveController, BacksOffOnlyOnSilenceFromKnownAliveAddresses) {
 }
 
 TEST(AdaptiveController, TtlExceededResponderCountsAsAlive) {
-  AdaptiveController ctrl(AdaptivePolicy{});
+  AdaptiveController ctrl;
   // A TTL-exceeded reply does not prove the *target* alive, but the
   // responding router is an address that demonstrably answers.
   ctrl.observe(wave_of(0x0A000000, 4),
@@ -161,7 +145,7 @@ TEST(AdaptiveController, TtlExceededResponderCountsAsAlive) {
   ctrl.observe(to_router, all_silent(4), 4);
   EXPECT_EQ(ctrl.pause_us(), 500u);
 
-  AdaptiveController fresh_ctrl(AdaptivePolicy{});
+  AdaptiveController fresh_ctrl;
   fresh_ctrl.observe(wave_of(0x0A000000, 4),
                      std::vector<net::ProbeReply>(4,
                                                   ttl_exceeded_from(0x0B000001)),
@@ -171,7 +155,7 @@ TEST(AdaptiveController, TtlExceededResponderCountsAsAlive) {
 }
 
 TEST(AdaptiveController, ResetRestoresTheInitialState) {
-  AdaptiveController ctrl(AdaptivePolicy{});
+  AdaptiveController ctrl;
   const auto probes = wave_of(0x0A000000, 8);
   ctrl.observe(probes, all_echo(0x0A000000, 8), 8);   // grow to 16
   ctrl.observe(probes, all_silent(8), 8);             // drop signal: pause
@@ -190,7 +174,7 @@ TEST(AdaptiveController, ResetRestoresTheInitialState) {
 }
 
 TEST(AdaptiveController, IgnoresEmptyOrMismatchedWaves) {
-  AdaptiveController ctrl(AdaptivePolicy{});
+  AdaptiveController ctrl;
   ctrl.observe({}, {}, 0);
   ctrl.observe(wave_of(0x0A000000, 4), all_echo(0x0A000000, 2), 4);
   EXPECT_EQ(ctrl.window(), 8);

@@ -26,17 +26,20 @@ TEST(Pacer, DisabledAdmitsImmediately) {
 }
 
 TEST(Pacer, BurstGoesThroughUnthrottled) {
-  ProbePacer pacer(10.0, /*burst=*/4.0);
+  ProbePacer pacer(10.0);
+  EXPECT_EQ(kPacerBurst, 8.0);
   const auto start = Clock::now();
-  for (int i = 0; i < 4; ++i) pacer.acquire();  // spends the initial burst
+  for (int i = 0; i < 8; ++i) pacer.acquire();  // spends the initial burst
   EXPECT_LT(Clock::now() - start, std::chrono::milliseconds(50));
+  EXPECT_EQ(pacer.throttle_waits(), 0u);
 }
 
 TEST(Pacer, ThrottlesPastTheBurst) {
-  // 200/s sustained, burst 1: three probes need >= ~10 ms of refill.
-  ProbePacer pacer(200.0, 1.0);
+  // 200/s sustained, burst 8: the two probes past the burst need >= ~10 ms
+  // of refill.
+  ProbePacer pacer(200.0);
   const auto start = Clock::now();
-  for (int i = 0; i < 3; ++i) pacer.acquire();
+  for (int i = 0; i < 10; ++i) pacer.acquire();
   EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(5));
   EXPECT_GE(pacer.throttle_waits(), 1u);
 }
@@ -45,13 +48,13 @@ TEST(Pacer, OverBurstWaveAdmitsImmediatelyAndLeavesDebt) {
   // A wave larger than the burst capacity must go out as soon as the bucket
   // is full — waiting for 100 tokens that can never accumulate would
   // deadlock — and drive the token count negative.
-  ProbePacer pacer(1000.0, /*burst=*/4.0);
+  ProbePacer pacer(1000.0);
   const auto start = Clock::now();
   pacer.acquire(100);
   EXPECT_LT(Clock::now() - start, std::chrono::milliseconds(50));
   EXPECT_EQ(pacer.throttle_waits(), 0u);
 
-  // The debt (~96 tokens at 1000/s) throttles the next probe for ~96 ms.
+  // The debt (~92 tokens at 1000/s) throttles the next probe for ~93 ms.
   const auto debt_start = Clock::now();
   pacer.acquire(1);
   EXPECT_GE(Clock::now() - debt_start, std::chrono::milliseconds(50));
@@ -62,8 +65,8 @@ TEST(Pacer, ThrottledWaveCountsOneWaitHoweverLongItSpins) {
   // A single throttled acquire may lap its wait loop several times before
   // the refill covers the shortfall; it is still one throttled wave. With
   // per-lap counting this reported 2-3 "waits" for one 31-token debt.
-  ProbePacer pacer(1000.0, 1.0);
-  pacer.acquire(32);  // immediate, tokens now -31
+  ProbePacer pacer(1000.0);
+  pacer.acquire(39);  // immediate, tokens now -31
   pacer.acquire(1);   // one throttled wave, ~32 ms of wait-loop laps
   EXPECT_EQ(pacer.throttle_waits(), 1u);
 }
@@ -71,7 +74,7 @@ TEST(Pacer, ThrottledWaveCountsOneWaitHoweverLongItSpins) {
 TEST(Pacer, ConcurrentWaitsNeverExceedAcquires) {
   // Contending workers can steal each other's refill and re-lap the wait
   // loop; the throttle counter must still be bounded by one per acquire.
-  ProbePacer pacer(400.0, 1.0);
+  ProbePacer pacer(400.0);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5;
   std::vector<std::thread> pool;
@@ -96,8 +99,8 @@ TEST(Pacer, WallAndVirtualClocksDecideIdentically) {
 
   util::ManualClock manual;
   sim::vtime::Scheduler scheduler;
-  ProbePacer wall_pacer(500.0, 2.0, &manual);
-  ProbePacer virtual_pacer(500.0, 2.0, &scheduler);
+  ProbePacer wall_pacer(500.0, &manual);
+  ProbePacer virtual_pacer(500.0, &scheduler);
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> wall_trace;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> virtual_trace;

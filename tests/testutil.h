@@ -66,7 +66,7 @@ inline eval::VantageObservations reference_campaign(
   eval::CampaignAccumulator acc(name, targets.size());
   for (std::size_t index = 0; index < targets.size(); ++index) {
     session.set_epoch(network.faults().epoch_of(index));
-    if (config.skip_covered_targets && acc.covered(targets[index])) {
+    if (acc.covered(targets[index])) {
       acc.note_covered();
       continue;
     }

@@ -139,13 +139,6 @@ TEST(TraceRecorder, WantsRespectsTheLevelLattice) {
   EXPECT_TRUE(on(&probe, Level::kProbe));
 }
 
-TEST(TraceSink, NullSinkDisablesEverything) {
-  NullEventSink sink;
-  EXPECT_EQ(sink.level(), Level::kOff);
-  EXPECT_EQ(sink.open(0, "t"), nullptr);
-  sink.drop(0);  // harmless no-op
-}
-
 TEST(TraceWriter, OffLevelOpensNothing) {
   JsonlTraceWriter writer(Level::kOff);
   EXPECT_EQ(writer.open(0, "t"), nullptr);

@@ -55,7 +55,7 @@
 //   --trace-vtime       stamp every journal event with the simulated clock
 //                       ("vt" attribute, microseconds); needs --virtual-time
 //                       (schedule-dependent, so off by default)
-//   --csv FILE          write collected subnets as CSV
+//   --csv FILE          write collected subnets as CSV, one row per prefix
 //   --dot FILE          write the inferred router-level map as Graphviz DOT
 //   --verbose           per-hop / per-subnet diagnostics on stderr
 #include <cstdio>
@@ -373,8 +373,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<probe::ProbeEngine> paced;
   probe::ProbeEngine* active = engine.get();
   if (pps > 0 && !use_runtime) {
-    pacer.emplace(static_cast<double>(pps), runtime::kPacerBurst,
-                  scheduler ? &*scheduler : nullptr);
+    pacer.emplace(static_cast<double>(pps), scheduler ? &*scheduler : nullptr);
     paced = std::make_unique<runtime::PacedProbeEngine>(*engine, *pacer);
     active = paced.get();
   }
@@ -389,8 +388,6 @@ int main(int argc, char** argv) {
   // Run.
   std::vector<core::SessionResult> sessions;
   eval::VantageObservations observations;
-  observations.vantage = "cli";
-  observations.targets_total = targets.size();
 
   if (use_runtime) {
     runtime::RuntimeConfig config;
@@ -428,21 +425,26 @@ int main(int argc, char** argv) {
     config.protocol = protocol;
     config.max_ttl = static_cast<int>(max_ttl);
     core::MultipathTracenetSession session(*active, config);
+    // Every target is traced; the accumulator only merges what they saw.
+    eval::CampaignAccumulator acc("cli", targets.size());
     for (std::size_t index = 0; index < targets.size(); ++index) {
       const net::Ipv4Addr target = targets[index];
       // Routing-churn epochs by schedule position, as on the serial path.
       if (network) session.set_epoch(network->faults().epoch_of(index));
-      const auto result = session.run(target);
+      auto result = session.run(target);
       std::printf("multipath tracenet to %s: %zu subnets over %zu diamonds, "
                   "%llu probes\n",
                   target.to_string().c_str(), result.subnets.size(),
                   result.paths.diamond_count(),
                   static_cast<unsigned long long>(result.wire_probes));
-      for (const auto& subnet : result.subnets) {
+      for (const auto& subnet : result.subnets)
         std::printf("  %s\n", subnet.to_string().c_str());
-        if (subnet.prefix.length() < 32) observations.subnets.push_back(subnet);
-      }
+      core::SessionResult merged;
+      merged.path.destination_reached = result.paths.destination_reached;
+      merged.subnets = std::move(result.subnets);
+      acc.add(merged);
     }
+    observations = acc.finalize();
   } else {
     core::SessionConfig config;
     config.protocol = protocol;
@@ -452,6 +454,8 @@ int main(int argc, char** argv) {
     config.adaptive.enabled = adaptive_window;
     if (scheduler) config.clock = &*scheduler;
     core::TracenetSession session(*active, config);
+    // Every target is traced; the accumulator only merges what they saw.
+    eval::CampaignAccumulator acc("cli", targets.size());
     for (std::size_t index = 0; index < targets.size(); ++index) {
       const net::Ipv4Addr target = targets[index];
       // The routing-churn epoch by schedule position, stamped as the
@@ -460,9 +464,9 @@ int main(int argc, char** argv) {
       if (tracer) session.set_recorder(tracer->open(index, target.to_string()));
       sessions.push_back(session.run(target));
       std::printf("%s\n", sessions.back().to_string().c_str());
-      for (const auto& subnet : sessions.back().subnets)
-        if (subnet.prefix.length() < 32) observations.subnets.push_back(subnet);
+      acc.add(sessions.back());
     }
+    observations = acc.finalize();
   }
 
   if (trace_out) {
