@@ -18,8 +18,17 @@
 // outside the lock. A session-private instance takes that lock uncontended.
 // Replies are assumed stable for the lifetime of the cache — the trade
 // Doubletree makes; clear() drops everything.
+//
+// With single flight on, a caller claims the keys it is about to probe, and
+// a caller asking for a claimed key waits for that reply instead of probing
+// it again: the wire sees each distinct probe once, however the callers
+// interleave. A caller only waits while it holds no claim of its own, and
+// a claim's holder only waits on the wire, so callers cannot wait on each
+// other in a cycle.
 #pragma once
 
+#include <algorithm>
+#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -33,7 +42,13 @@ namespace tn::probe {
 
 class CachingProbeEngine final : public ProbeEngine {
  public:
-  explicit CachingProbeEngine(ProbeEngine& inner) noexcept : inner_(inner) {}
+  // `single_flight` is for a cache several threads probe through at once,
+  // and only where a caller may block on another's probe: not under the
+  // virtual-time scheduler, whose clock stalls while a registered worker
+  // waits on anything but the clock (sim/vtime/scheduler.h).
+  explicit CachingProbeEngine(ProbeEngine& inner,
+                              bool single_flight = false) noexcept
+      : inner_(inner), single_flight_(single_flight) {}
 
   std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
@@ -99,8 +114,8 @@ class CachingProbeEngine final : public ProbeEngine {
     return slot->reply();
   }
 
-  // Two workers racing on one key probe twice and agree on whichever reply
-  // lands last — identical on stable networks.
+  // Without single flight, two workers racing on one key probe twice and
+  // agree on whichever reply lands last — identical on stable networks.
   void publish(const ReplyKey& key, const net::ProbeReply& reply) {
     if (reply.is_none() && !cache_unresponsive()) return;
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -108,6 +123,103 @@ class CachingProbeEngine final : public ProbeEngine {
   }
 
   net::ProbeReply do_probe(const net::Probe& request) override {
+    if (!single_flight_) return probe_one(request);
+    const ReplyKey key = ReplyKey::of(request);
+    bool claimed_here = false;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      landed_.wait(lock, [&] { return !claimed(key); });
+      if (replies_.find(key) == nullptr) {
+        in_flight_.push_back(key);
+        claimed_here = true;
+      }
+    }
+    const net::ProbeReply reply = probe_one(request);
+    if (claimed_here) release({&key, 1});
+    return reply;
+  }
+
+  // Single flight over a wave: claims the keys that are neither memoized nor
+  // claimed, and sends the wave through probe_wave(), which probes exactly
+  // those keys, once each, and memoizes them; then drops the claims. The
+  // requests for keys other callers hold wait, with no claim held, until
+  // those probes land, and then go as a wave of their own: hits by then,
+  // unless the reply was a silence the cache does not keep.
+  std::vector<net::ProbeReply> do_probe_batch(
+      std::span<const net::Probe> requests) override {
+    if (!single_flight_) return probe_wave(requests);
+    std::vector<net::Probe> wave;
+    std::vector<std::size_t> wave_request;  // request index per wave probe
+    std::vector<std::size_t> awaited;       // requests other callers hold
+    std::vector<ReplyKey> claims;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      // Claims before `mine` are other callers'; this wave's follow.
+      const auto held = [&](auto from, auto to, const ReplyKey& key) {
+        return std::find(from, to, key) != to;
+      };
+      const std::size_t mine = in_flight_.size();
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const ReplyKey key = ReplyKey::of(requests[i]);
+        if (held(in_flight_.begin(), in_flight_.begin() + mine, key)) {
+          awaited.push_back(i);
+          continue;
+        }
+        if (replies_.find(key) == nullptr &&
+            !held(in_flight_.begin() + mine, in_flight_.end(), key))
+          in_flight_.push_back(key);
+        wave.push_back(requests[i]);
+        wave_request.push_back(i);
+      }
+      claims.assign(in_flight_.begin() + mine, in_flight_.end());
+    }
+    std::vector<net::ProbeReply> replies(requests.size());
+    if (!wave.empty()) {
+      const std::vector<net::ProbeReply> sent = probe_wave(wave);
+      for (std::size_t j = 0; j < wave.size(); ++j)
+        replies[wave_request[j]] = sent[j];
+    }
+    if (!claims.empty()) release(claims);
+    if (!awaited.empty()) {
+      std::vector<net::Probe> later;
+      for (const std::size_t i : awaited) later.push_back(requests[i]);
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        landed_.wait(lock, [&] {
+          return std::none_of(later.begin(), later.end(),
+                              [&](const net::Probe& probe) {
+                                return claimed(ReplyKey::of(probe));
+                              });
+        });
+      }
+      const std::vector<net::ProbeReply> resolved = do_probe_batch(later);
+      for (std::size_t j = 0; j < awaited.size(); ++j)
+        replies[awaited[j]] = resolved[j];
+    }
+    return replies;
+  }
+
+  // Single flight's bookkeeping: whether a caller holds `key`, and dropping
+  // a caller's claims once their replies are memoized.
+  bool claimed(const ReplyKey& key) const {
+    return std::find(in_flight_.begin(), in_flight_.end(), key) !=
+           in_flight_.end();
+  }
+  void release(std::span<const ReplyKey> claims) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (const ReplyKey& key : claims) {
+        *std::find(in_flight_.begin(), in_flight_.end(), key) =
+            in_flight_.back();
+        in_flight_.pop_back();
+      }
+    }
+    landed_.notify_all();
+  }
+
+  // The plain paths, which single flight wraps: look up, probe the misses
+  // outside the lock, memoize.
+  net::ProbeReply probe_one(const net::Probe& request) {
     const ReplyKey key = ReplyKey::of(request);
     std::optional<net::ProbeReply> reply = lookup(key);
     const bool cached = reply.has_value();
@@ -134,8 +246,8 @@ class CachingProbeEngine final : public ProbeEngine {
   // as one inner wave probed outside the lock. A key repeated within
   // the wave is probed once; later occurrences count as hits, exactly as a
   // serial walk would score them.
-  std::vector<net::ProbeReply> do_probe_batch(
-      std::span<const net::Probe> requests) override {
+  std::vector<net::ProbeReply> probe_wave(
+      std::span<const net::Probe> requests) {
     std::vector<net::ProbeReply> replies(requests.size());
     std::vector<net::Probe> misses;
     std::vector<std::size_t> miss_request;  // request index per miss
@@ -175,8 +287,14 @@ class CachingProbeEngine final : public ProbeEngine {
   }
 
   ProbeEngine& inner_;
+  const bool single_flight_;
   std::mutex mutex_;
   ReplyTable replies_;  // guarded by mutex_
+  // Keys whose probe some caller has out, under single flight: at most the
+  // misses of one wave per caller. Guarded by mutex_; landed_ signals each
+  // release.
+  std::vector<ReplyKey> in_flight_;
+  std::condition_variable landed_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<bool> cache_unresponsive_{true};

@@ -22,33 +22,51 @@ void Scheduler::sleep_us(std::uint64_t us) {
 void Scheduler::wait_until(std::uint64_t deadline_us) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (clock_.now_us() >= deadline_us) return;
-
-  const Event event{deadline_us, tl_ordinal, next_seq_++};
-  queue_.push(event);
-  ++blocked_;
   ++waits_;
+  take_turn(lock, deadline_us);
+}
 
-  while (clock_.now_us() < deadline_us) {
-    // The advance rule, evaluated by whoever holds the lock:
-    //  * every registered worker is blocked (nobody can make progress at
-    //    the current simulated instant), and
-    //  * no already-satisfied waiter is still inside wait_until (its event
-    //    would have deliver_at <= now; it must wake and run — or re-block —
-    //    before time moves again, or the clock would skip over a runnable
-    //    worker's next action).
-    // Unregistered waiters count themselves via blocked_, so a serial
-    // driver (workers_ == 0) advances on its own wait immediately.
-    if (blocked_ >= workers_ && queue_.min().deliver_at > clock_.now_us()) {
-      clock_.advance_to(queue_.min().deliver_at);
-      ++advances_;
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock);
-    }
+void Scheduler::wait_turn() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  take_turn(lock, clock_.now_us());
+}
+
+void Scheduler::take_turn(std::unique_lock<std::mutex>& lock,
+                          std::uint64_t deadline_us) {
+  const Event event{deadline_us, tl_ordinal, next_seq_++};
+  std::condition_variable turn;
+  queue_.push(event);
+  turns_.emplace(event.seq, &turn);
+  ++blocked_;
+  // The turn rule:
+  //  * every registered worker is blocked (nobody is still acting at the
+  //    current simulated instant), and
+  //  * this waiter's event is the earliest pending one; its owner moves
+  //    the clock to it if it lies ahead.
+  // Unregistered waiters count themselves via blocked_, so a serial driver
+  // (workers_ == 0) takes its turn on its own wait immediately.
+  const auto my_turn = [&] {
+    return blocked_ >= workers_ && queue_.min() == event;
+  };
+  if (!my_turn()) {
+    wake_next();
+    turn.wait(lock, my_turn);
   }
-
+  if (clock_.now_us() < deadline_us) {
+    clock_.advance_to(deadline_us);
+    ++advances_;
+  }
   queue_.erase(event);
+  turns_.erase(event.seq);
   --blocked_;
+  // An unregistered waiter leaving keeps the workforce blocked: the next
+  // event's owner may go at once.
+  wake_next();
+}
+
+void Scheduler::wake_next() {
+  if (!queue_.empty() && blocked_ >= workers_)
+    turns_.at(queue_.min().seq)->notify_one();
 }
 
 void Scheduler::add_worker() {
@@ -59,9 +77,8 @@ void Scheduler::add_worker() {
 void Scheduler::remove_worker() {
   const std::lock_guard<std::mutex> lock(mutex_);
   --workers_;
-  // This thread leaving may make the remaining waiters the whole workforce;
-  // one of them must wake to perform the advance.
-  if (blocked_ > 0 && blocked_ >= workers_) cv_.notify_all();
+  // This thread leaving may make the remaining waiters the whole workforce.
+  wake_next();
 }
 
 std::uint64_t Scheduler::waits() const {

@@ -21,6 +21,15 @@
 // --window. The VirtualTime ctest suite and the virtual-time-determinism CI
 // job pin exactly that.
 //
+// Turns: waiters leave one at a time. The earliest pending event goes next,
+// and only once every registered worker is blocked again, so registered
+// workers run one at a time in (deliver_at, ordinal, seq) order — the way
+// discrete-event simulators such as ns-3 and Shadow run their hosts. What
+// workers do to shared state (target claims, shared-cache misses, stop-set
+// inserts) then happens in one order on every run, not the OS's: makespans
+// and wire counts repeat, not just outputs. Virtual concurrency is
+// unchanged; wall-clock parallelism under virtual time goes.
+//
 // Deadlock discipline: while registered (WorkerGuard), a worker must not
 // block on anything that only another *virtually waiting* worker can
 // release. In this codebase that means: under virtual time the ProbePacer
@@ -34,6 +43,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <unordered_map>
 
 #include "sim/vtime/event_queue.h"
 #include "sim/vtime/virtual_clock.h"
@@ -54,11 +64,16 @@ class Scheduler final : public util::Clock {
   std::uint64_t now_us() override { return clock_.now_us(); }
   void sleep_us(std::uint64_t us) override;
 
-  // Blocks the caller until the virtual clock reaches `deadline_us`. The
-  // wait is admitted into the EventQueue as (deadline, current ordinal,
-  // next seq); the calling thread may itself perform the clock advance when
-  // it is the last runnable worker.
+  // Blocks the caller until the virtual clock reaches `deadline_us` and its
+  // turn comes. The wait is admitted into the EventQueue as (deadline,
+  // current ordinal, next seq); the calling thread performs the clock
+  // advance itself when its event is the earliest.
   void wait_until(std::uint64_t deadline_us);
+
+  // Blocks the caller until its turn at the current instant, as a wait that
+  // is already due. The campaign runtime's workers take one before their
+  // first action, so even their start-up runs one worker at a time.
+  void wait_turn();
 
   const VirtualClock& clock() const noexcept { return clock_; }
 
@@ -68,11 +83,13 @@ class Scheduler final : public util::Clock {
   // kUnassignedOrdinal.
   static void set_current_ordinal(std::uint64_t ordinal) noexcept;
 
-  // Registers the calling thread as a worker for the guard's lifetime:
-  // the clock will not advance while this thread is runnable (outside a
-  // virtual wait). Every campaign worker that probes a virtual-time network
-  // must hold one, or the clock would jump while it still had work to do at
-  // the current instant.
+  // Registers a worker for the guard's lifetime: no waiter leaves, and the
+  // clock does not advance, while a registered worker is runnable (outside
+  // a virtual wait). Every campaign worker that probes a virtual-time
+  // network must hold one, or the clock would jump while it still had work
+  // to do at the current instant. The campaign runtime builds every
+  // worker's guard before starting any worker, so a thread that starts
+  // late still holds the clock; each worker destroys its own guard.
   class WorkerGuard {
    public:
     explicit WorkerGuard(Scheduler& scheduler) : scheduler_(scheduler) {
@@ -96,13 +113,20 @@ class Scheduler final : public util::Clock {
  private:
   void add_worker();
   void remove_worker();
+  // Queues the caller's event and returns once it is the earliest and
+  // every registered worker is blocked, with the clock at its deadline.
+  void take_turn(std::unique_lock<std::mutex>& lock, std::uint64_t deadline_us);
+  // Wakes the owner of the earliest event when the turn rule lets it go:
+  // one thread per handoff, not every waiter.
+  void wake_next();
 
   VirtualClock clock_;
   EventQueue queue_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  // Each waiter's own condition variable, by its event's seq.
+  std::unordered_map<std::uint64_t, std::condition_variable*> turns_;
   std::size_t workers_ = 0;  // registered via WorkerGuard
-  std::size_t blocked_ = 0;  // threads currently inside wait_until
+  std::size_t blocked_ = 0;  // threads currently waiting for their turn
   std::uint64_t next_seq_ = 0;
   std::uint64_t waits_ = 0;
   std::uint64_t advances_ = 0;

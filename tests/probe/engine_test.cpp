@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -249,8 +251,9 @@ TEST_F(ProbeEngineTest, CacheClearAnswersNothingAndZeroesCounters) {
 // Many threads share one cache, as the campaign workers do: overlapping
 // single probes and waves (duplicates inside a wave included) must each get
 // the reply an uncached network gives, and every request is scored exactly
-// once as a hit or a miss. Run under TSan via tools/check.sh.
-TEST_F(ProbeEngineTest, CacheHammerMatchesUncachedReplies) {
+// once as a hit or a miss. Returns how many distinct probes were asked for.
+std::size_t hammer(const test::Fig3Topology& f, CachingProbeEngine& cached,
+                   const SimProbeEngine& wire) {
   std::vector<net::Probe> pool;
   for (const char* addr : {"192.168.1.2", "192.168.1.3", "192.168.1.4",
                            "192.168.1.9", "10.0.3.2", "10.0.4.1", "10.0.4.2"})
@@ -266,11 +269,10 @@ TEST_F(ProbeEngineTest, CacheHammerMatchesUncachedReplies) {
   std::vector<net::ProbeReply> want;
   for (const net::Probe& p : pool) want.push_back(reference.probe(p));
 
-  SimProbeEngine wire(net, f.vantage);
-  CachingProbeEngine cached(wire);
   constexpr int kThreads = 8;
   std::atomic<std::uint64_t> requests{0};
   std::atomic<int> wrong{0};
+  std::vector<std::atomic<bool>> asked(pool.size());
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -292,10 +294,12 @@ TEST_F(ProbeEngineTest, CacheHammerMatchesUncachedReplies) {
           got = cached.probe_batch(wave);
         }
         requests.fetch_add(picks.size());
-        for (std::size_t i = 0; i < picks.size(); ++i)
+        for (std::size_t i = 0; i < picks.size(); ++i) {
+          asked[picks[i]].store(true);
           if (got[i].type != want[picks[i]].type ||
               got[i].responder != want[picks[i]].responder)
             wrong.fetch_add(1);
+        }
       }
     });
   }
@@ -306,6 +310,43 @@ TEST_F(ProbeEngineTest, CacheHammerMatchesUncachedReplies) {
   EXPECT_EQ(cached.hits() + cached.misses(), requests.load());
   EXPECT_EQ(wire.probes_issued(), cached.misses());
   EXPECT_GT(cached.hits(), 0u);
+  return static_cast<std::size_t>(
+      std::count_if(asked.begin(), asked.end(),
+                    [](const std::atomic<bool>& a) { return a.load(); }));
+}
+
+// The CacheHammer cases run under TSan via tools/check.sh.
+TEST_F(ProbeEngineTest, CacheHammerMatchesUncachedReplies) {
+  SimProbeEngine wire(net, f.vantage);
+  CachingProbeEngine cached(wire);
+  hammer(f, cached, wire);
+}
+
+// Under single flight a thread asking for a probe another thread has out
+// waits for its reply, so each distinct probe crosses the wire once. The
+// round trip is slow enough that without single flight the threads would
+// race on the first probes of the pool.
+TEST_F(ProbeEngineTest, CacheHammerSingleFlightSendsEachProbeOnce) {
+  sim::NetworkConfig slow;
+  slow.wall_rtt_us = 200;
+  sim::Network slow_net(f.topo, slow);
+  SimProbeEngine wire(slow_net, f.vantage);
+  CachingProbeEngine cached(wire, /*single_flight=*/true);
+  const std::size_t distinct = hammer(f, cached, wire);
+  EXPECT_EQ(wire.probes_issued(), distinct);
+}
+
+// A silence the cache does not keep answers the waiters' claim on nothing:
+// each waiter then probes the key itself, as it would without single flight.
+TEST_F(ProbeEngineTest, CacheHammerSingleFlightReprobesUnkeptSilence) {
+  sim::NetworkConfig slow;
+  slow.wall_rtt_us = 50;
+  sim::Network slow_net(f.topo, slow);
+  SimProbeEngine wire(slow_net, f.vantage);
+  CachingProbeEngine cached(wire, /*single_flight=*/true);
+  cached.set_cache_unresponsive(false);
+  const std::size_t distinct = hammer(f, cached, wire);
+  EXPECT_GT(wire.probes_issued(), distinct);
 }
 
 TEST_F(ProbeEngineTest, RetryBatchReprobesOnlySilentSubset) {

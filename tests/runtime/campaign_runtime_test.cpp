@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "eval/report.h"
 #include "sim/faults.h"
+#include "sim/vtime/scheduler.h"
 #include "testutil.h"
 #include "topo/isp.h"
 #include "topo/reference.h"
@@ -216,14 +219,55 @@ TEST(CampaignRuntime, SharedStopSetSavesWireProbes) {
   EXPECT_GT(on1.stop_set_prefixes, 0u);
 
   // Two workers: which targets a worker skips depends on the schedule, but
-  // the stop set still only sheds probe cost.
+  // the stop set still only sheds probe cost. The shared cache's single
+  // flight sends each distinct probe once, so without the stop set the two
+  // workers spend exactly the serial run's probes.
   const CampaignReport on = run_stop_set_campaign(internet, 2, true);
   const CampaignReport off = run_stop_set_campaign(internet, 2, false);
   expect_identical_observations(on.observations, off.observations);
   expect_identical_observations(on.observations, on1.observations);
+  EXPECT_EQ(off.wire_probes, off1.wire_probes);
   EXPECT_LE(on.wire_probes, off.wire_probes);
   EXPECT_LE(on.sessions_run, off.sessions_run);
   EXPECT_GT(on.stop_set_prefixes, 0u);
+}
+
+// clean_isp() made order-dependent: flaky interfaces, ICMP rate limiting and
+// per-packet load balancing all answer according to the order in which
+// probes reach the network.
+topo::IspProfile order_dependent_isp() {
+  topo::IspProfile isp = clean_isp();
+  isp.rate_limited_router_fraction = 0.3;
+  isp.per_packet_lb_fraction = 0.2;
+  isp.response_flakiness = 0.05;
+  return isp;
+}
+
+// Under virtual time the scheduler gives workers their turns one at a time,
+// in (deliver_at, ordinal, seq) order, so a jobs-4 campaign repeats exactly
+// even where replies depend on probe order: the same subnets, wire probes
+// and makespan on every run.
+TEST(CampaignRuntime, VirtualTimeRepeatsExactlyOnOrderDependentNetworks) {
+  const topo::SimulatedInternet internet =
+      topo::build_internet({order_dependent_isp()}, 11);
+  ASSERT_FALSE(internet.rate_limit_plan.empty());
+  const auto run = [&] {
+    sim::vtime::Scheduler scheduler;
+    sim::NetworkConfig net_config;
+    net_config.wall_rtt_us = 2000;
+    net_config.scheduler = &scheduler;
+    sim::Network net(internet.topo, net_config);
+    topo::install_rate_limit_plan(net, internet.rate_limit_plan);
+    RuntimeConfig config;
+    config.jobs = 4;
+    CampaignRuntime runtime(net, internet.vantages.front(), config);
+    const CampaignReport report = runtime.run("V", internet.all_targets());
+    return std::make_tuple(eval::subnets_csv(report.observations),
+                           report.wire_probes, scheduler.now_us());
+  };
+  const auto first = run();
+  EXPECT_FALSE(std::get<0>(first).empty());
+  for (int repeat = 0; repeat < 3; ++repeat) EXPECT_EQ(run(), first);
 }
 
 TEST(CampaignRuntime, FastModeStillMergesInTargetOrder) {
